@@ -21,16 +21,15 @@ from .hyperspace import (
     DEFAULT_MAX_N,
     DEFAULT_THRESHOLD,
     BitString,
+    add_correlations,
     check_bits,
-    correlation_sweep,
-    decode_superposition,
     default_window_len,
     encode_set,
     format_bits,
-    int_to_bits,
+    readout,
 )
 from .reference import ReferenceSystem
-from .window import correlate, materialize
+from .window import correlate, materialize, materialize_many
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
         length = default_window_len(len(checked))
     signal = encode_set(sys, checked)
     window = materialize(sys.source, shift(signal, d), start, length)
-    decoded = decode_superposition(window, sys, threshold=threshold, max_n=max_n)
+    rhos, decoded = readout(window, sys, threshold, max_n)
 
     expected: set[BitString] = set()
     out_of_range: list[dict] = []
@@ -90,7 +89,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
         else:
             expected.add(image)
 
-    report = {
+    return add_correlations({
         "seed": sys.seed,
         "N": sys.n_bits,
         "k": sys.extra_shift_rounds,
@@ -102,14 +101,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
         "decoded": sorted(format_bits(s) for s in decoded),
         "out_of_range": out_of_range,
         "ok": decoded == expected,
-    }
-    if sys.n_eff <= 10:
-        rhos = correlation_sweep(window, sys, max_n=max_n)
-        report["correlations"] = [
-            {"candidate": format_bits(int_to_bits(v, sys.n_eff)), "rho": float(r)}
-            for v, r in enumerate(rhos)
-        ]
-    return report
+    }, rhos, sys.n_eff)
 
 
 def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
@@ -126,8 +118,7 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     ref = sys.reference_noise(i, b)
     ab = multiply(shift(x, d), ref)        # A after B
     ba = shift(multiply(x, ref), d)        # B after A
-    w_ab = materialize(sys.source, ab, start, length)
-    w_ba = materialize(sys.source, ba, start, length)
+    w_ab, w_ba = materialize_many(sys.source, (ab, ba), start, length)
     cross = correlate(w_ab, w_ba)
     tolerance = 5.0 * cross.sigma
     self_ab = correlate(w_ab, w_ab).rho
@@ -206,11 +197,11 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     r = assignment[(i, b)]
     ref = sys.reference_noise(i, b)
     hidden = shift(ref, r)
-    w_hidden = materialize(sys.source, hidden, start, length)
-    uncompensated = correlate(w_hidden, materialize(sys.source, ref, start, length))
     compensated_expr = shift(ref, r)
-    compensated = correlate(w_hidden,
-                            materialize(sys.source, compensated_expr, start, length))
+    w_hidden, w_ref, w_compensated = materialize_many(
+        sys.source, (hidden, ref, compensated_expr), start, length)
+    uncompensated = correlate(w_hidden, w_ref)
+    compensated = correlate(w_hidden, w_compensated)
 
     d = r if global_shift is None else int(global_shift)
     restored = []

@@ -7,17 +7,21 @@ of its carriers.  Readout correlates the wire window against candidate
 carriers: members average near 1, non-members near 0, and a threshold
 midway between the two expectations decides membership.
 
-Readout is a brute-force sweep over all 2**n_eff candidates.  The cost
-is exponential by design and therefore capped (``max_n``); raising the
-cap is an explicit opt-in.  The sweep runs entirely on packed words:
-candidate carriers are XOR combinations of the reference bit arrays,
-and the signal's integer window is split into packed bitplanes so each
-candidate correlation is a handful of AND + popcount passes, exact in
-integer arithmetic.
+The sweep scores all 2**n_eff candidates at once.  With
+base = prod_i V_i_0 and the flip factor f_i = V_i_0 * V_i_1, candidate
+c is base * prod_{i in c} f_i, so its correlation total is the
+Walsh-Hadamard transform, at c, of the histogram of wire * base over
+the per-sample flip patterns.  The sweep hashes one frame of
+L + 2*n_eff - 1 samples, bins the L weights into 2**n_eff int64 totals
+and runs n_eff in-place butterfly passes (Fino & Algazi, 1976): cost
+O(L + n_eff * 2**n_eff), exact in integer arithmetic until one division
+by L.  The cap ``max_n`` bounds the 2**n_eff * 8-byte histogram; raising
+it is an explicit opt-in.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -26,7 +30,8 @@ import numpy as np
 
 from .expr import Product, Superposition, member_count, superpose
 from .reference import ReferenceSystem, build_reference_system
-from .window import Window, correlate, materialize, pack_bits, product_words
+from .source import sign_bits
+from .window import Window, correlate, materialize
 
 #: Classical bit strings are plain tuples of 0/1 ints.
 BitString = tuple[int, ...]
@@ -37,9 +42,6 @@ DEFAULT_MAX_N = 14
 #: Default membership threshold: midpoint of the member expectation (1)
 #: and the non-member expectation (0).
 DEFAULT_THRESHOLD = 0.5
-
-# Sweep working-set bound, in 64-bit words per candidate chunk.
-_CHUNK_WORDS = 1 << 23
 
 
 def check_bits(bits: Sequence[int], n_eff: int | None = None) -> BitString:
@@ -158,7 +160,8 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
 def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
                       max_n: int = DEFAULT_MAX_N) -> np.ndarray:
     """rho against every candidate carrier, indexed by the candidate's
-    integer value (least significant bit on noise bit 1)."""
+    integer value (least significant bit on noise bit 1).  One int64
+    Walsh-Hadamard transform; see the module docstring."""
     n = sys.n_eff
     if n > max_n:
         raise ValueError(
@@ -166,69 +169,53 @@ def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
         )
     _check_same_source(signal_window, sys)
     start, length = signal_window.start, signal_window.length
-    refs = [product_words(sys.source, (o,), start, length) for o in range(2 * n)]
-    nw = refs[0].size
-
-    base = np.zeros(nw, dtype=np.uint64)
+    # Reference (i, b) is the frame at offset 2i + b (i from 0 here).
+    frame = sign_bits(sys.seed, start, length + 2 * n - 1)
+    flips = frame[:-1] ^ frame[1:]
+    base = np.full(length, n % 2 == 0, dtype=np.uint8)  # bit 1 encodes +1
+    pattern = np.zeros(length, dtype=np.intp)
     for i in range(n):
-        base ^= refs[2 * i]
-    if n % 2 == 0:  # even factor count flips the XOR fold's polarity
-        base = ~base
-        base[-1] &= _pad_mask(length)
-    flips = [refs[2 * i] ^ refs[2 * i + 1] for i in range(n)]
-
-    low = n
-    while low > 0 and (1 << low) * nw > _CHUNK_WORDS:
-        low -= 1
-    table = np.zeros((1, nw), dtype=np.uint64)
-    for i in range(low):
-        table = np.concatenate([table, table ^ flips[i]])
-
-    if signal_window.words is not None:
-        sig_words = signal_window.words
-        planes, pops, offset = [], [], 0
-    else:
-        v = signal_window.ints.astype(np.int64)
-        offset = int(-v.min()) if v.size and v.min() < 0 else 0
-        u = (v + offset).astype(np.uint64)
-        nplanes = int(u.max()).bit_length() if u.size else 0
-        planes = [pack_bits(((u >> p) & 1).astype(np.uint8)) for p in range(nplanes)]
-        pops = [int(np.bitwise_count(pl).sum(dtype=np.int64)) for pl in planes]
-        sig_words = None
-
-    rhos = np.empty(1 << n, dtype=np.float64)
-    for h in range(1 << (n - low)):
-        head = base.copy()
-        for j in range(n - low):
-            if (h >> j) & 1:
-                head ^= flips[low + j]
-        chunk = table ^ head  # all candidates with high bits == h
-        if sig_words is not None:
-            ham = np.bitwise_count(chunk ^ sig_words).sum(axis=1, dtype=np.int64)
-            totals = length - 2 * ham
-        else:
-            totals = np.zeros(chunk.shape[0], dtype=np.int64)
-            for p, (plane, pop) in enumerate(zip(planes, pops)):
-                inter = np.bitwise_count(chunk & plane).sum(axis=1, dtype=np.int64)
-                totals += (1 << p) * (2 * inter - pop)
-            if offset:
-                ones = np.bitwise_count(chunk).sum(axis=1, dtype=np.int64)
-                totals -= offset * (2 * ones - length)
-        rhos[h << low:(h + 1) << low] = totals / length
-    return rhos
+        base ^= frame[2 * i:2 * i + length]
+        pattern |= flips[2 * i:2 * i + length].astype(np.intp) << i
+    signal = signal_window.values.astype(np.int64)
+    totals = np.zeros(1 << n, dtype=np.int64)
+    np.add.at(totals, pattern, np.where(base, signal, -signal))
+    for i in range(n):  # in-place butterflies: (lo, hi) -> (lo + hi, lo - hi)
+        pairs = totals.reshape(-1, 2, 1 << i)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        lo += hi
+        hi *= -2
+        hi += lo
+    return totals / length
 
 
-def _pad_mask(length: int) -> np.uint64:
-    bits = length % 64
-    return np.uint64((1 << bits) - 1) if bits else np.uint64(0xFFFFFFFFFFFFFFFF)
+def readout(signal_window: Window, sys: ReferenceSystem,
+            threshold: float = DEFAULT_THRESHOLD,
+            max_n: int = DEFAULT_MAX_N) -> tuple[np.ndarray, set[BitString]]:
+    """Sweep, threshold and decode: the rhos of every candidate and the
+    strings whose rho clears ``threshold``."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
+    rhos = correlation_sweep(signal_window, sys, max_n=max_n)
+    detected = {int_to_bits(int(v), sys.n_eff) for v in np.flatnonzero(rhos > threshold)}
+    return rhos, detected
+
+
+def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:
+    """Append every candidate's rho to ``report`` when n_eff <= 10."""
+    if n_eff <= 10:
+        report["correlations"] = [
+            {"candidate": format_bits(int_to_bits(v, n_eff)), "rho": float(r)}
+            for v, r in enumerate(rhos)
+        ]
+    return report
 
 
 def decode_superposition(signal_window: Window, sys: ReferenceSystem,
                          threshold: float = DEFAULT_THRESHOLD,
                          max_n: int = DEFAULT_MAX_N) -> set[BitString]:
     """All candidate strings whose correlation clears the threshold."""
-    rhos = correlation_sweep(signal_window, sys, max_n=max_n)
-    return {int_to_bits(v, sys.n_eff) for v in np.nonzero(rhos > threshold)[0]}
+    return readout(signal_window, sys, threshold, max_n)[1]
 
 
 def decode_report(signal_window: Window, sys: ReferenceSystem,
@@ -239,24 +226,16 @@ def decode_report(signal_window: Window, sys: ReferenceSystem,
     Keys: seed, N, k, m, L, threshold, detected (sorted "0101" strings)
     and, for n_eff <= 10, the full correlations list.
     """
-    rhos = correlation_sweep(signal_window, sys, max_n=max_n)
-    detected = sorted(format_bits(int_to_bits(v, sys.n_eff))
-                      for v in np.nonzero(rhos > threshold)[0])
-    report = {
+    rhos, detected = readout(signal_window, sys, threshold, max_n)
+    return add_correlations({
         "seed": sys.seed,
         "N": sys.n_bits,
         "k": sys.extra_shift_rounds,
         "m": _signal_members(signal_window),
         "L": signal_window.length,
         "threshold": threshold,
-        "detected": detected,
-    }
-    if sys.n_eff <= 10:
-        report["correlations"] = [
-            {"candidate": format_bits(int_to_bits(v, sys.n_eff)), "rho": float(r)}
-            for v, r in enumerate(rhos)
-        ]
-    return report
+        "detected": sorted(format_bits(s) for s in detected),
+    }, rhos, sys.n_eff)
 
 
 def round_trip_run(seed: int, n_bits: int, m_strings: int,
@@ -270,6 +249,9 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
     run is one reproducible experiment.
     """
     sys = build_reference_system(seed, n_bits, extra_shift_rounds)
+    if not 1 <= m_strings <= 1 << sys.n_eff:
+        raise ValueError(f"m_strings must be in 1..2**n_eff = 1..{1 << sys.n_eff}, "
+                         f"got {m_strings}")
     if length is None:
         length = default_window_len(m_strings)
     rng = random.Random(seed)
@@ -277,8 +259,7 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
     strings = {int_to_bits(v, sys.n_eff) for v in population}
     signal = encode_set(sys, strings)
     window = materialize(sys.source, signal, start, length)
-    rhos = correlation_sweep(window, sys, max_n=max_n)
-    decoded = {int_to_bits(v, sys.n_eff) for v in np.nonzero(rhos > threshold)[0]}
+    rhos, decoded = readout(window, sys, threshold, max_n)
 
     member_idx = sorted(bits_to_int(s) for s in strings)
     member_rhos = [float(rhos[v]) for v in member_idx]

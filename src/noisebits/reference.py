@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .expr import Product
 from .source import NoiseSource, as_source
-from .window import CorrelationEstimate, Window, correlate, materialize
+from .window import CorrelationEstimate, Window, correlate, materialize, materialize_many
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def orthogonality_matrix(sys: ReferenceSystem, length: int,
     Diagonal entries are exactly 1.0 and the matrix is symmetric; the
     off-diagonal entries are the statistical residue of orthogonality.
     """
-    windows = [sys.window(ref, start, length) for ref in sys.references()]
+    windows = materialize_many(sys.source, sys.references(), start, length)
     n = len(windows)
     matrix: list[list[CorrelationEstimate | None]] = [[None] * n for _ in range(n)]
     for i in range(n):

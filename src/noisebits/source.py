@@ -71,14 +71,17 @@ def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
         raise OverflowError(
             f"sample index {start + length} exceeds the supported range (2**62)"
         )
-    idx = np.arange(start, start + length, dtype=np.uint64)
-    x = np.uint64(seed & MASK64) ^ ((idx << np.uint64(32)) | (idx >> np.uint64(32)))
-    x ^= x >> np.uint64(30)
-    x *= _U64_MULT1
-    x ^= x >> np.uint64(27)
-    x *= _U64_MULT2
-    x ^= x >> np.uint64(31)
-    return (x >> np.uint64(63)).astype(np.uint8)
+    # In place on two buffers; mix64's last x ^= x >> 31 leaves bit 63 as is.
+    x = np.arange(start, start + length, dtype=np.uint64)
+    t = x >> np.uint64(64 - _INDEX_ROT)
+    x <<= np.uint64(_INDEX_ROT)
+    x |= t
+    x ^= np.uint64(seed & MASK64)
+    for shift, mult in ((30, _U64_MULT1), (27, _U64_MULT2)):
+        np.right_shift(x, np.uint64(shift), out=t)
+        x ^= t
+        x *= mult
+    return np.right_shift(x, np.uint64(63), out=x).astype(np.uint8)
 
 
 def sample_block(seed: int, start: int, length: int) -> np.ndarray:
@@ -104,9 +107,6 @@ class NoiseSource:
 
     def sample_block(self, start: int, length: int) -> np.ndarray:
         return sample_block(self.seed, start, length)
-
-    def sign_bits(self, start: int, length: int) -> np.ndarray:
-        return sign_bits(self.seed, start, length)
 
 
 def as_source(source: NoiseSource | int) -> NoiseSource:

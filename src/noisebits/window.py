@@ -8,6 +8,10 @@ out of ``L``, the mean product is ``(L - 2h) / L``.
 
 Superposition windows hold the signed integer sum per sample (int32).
 
+Materializing hashes the wave once per frame (one run of sign bits per
+group of overlapping factor intervals) and XOR-folds each product from
+slices of it.
+
 Correlation is computed in exact integer arithmetic and divided once at
 the end, so diagonal correlations are exactly 1.0 and results are
 reproducible bit for bit.
@@ -19,20 +23,13 @@ A window can be dumped to a small binary file for debugging; see
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import BinaryIO
+from dataclasses import dataclass, replace
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
 from .expr import Product, StreamExpr, Superposition, canonical_str, parse_expr
 from .source import MAX_INDEX, NoiseSource, as_source, sign_bits
-
-_FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _tail_mask(length: int) -> np.uint64:
-    bits = length % 64
-    return np.uint64((1 << bits) - 1) if bits else _FULL_WORD
 
 
 def pack_bits(bits01: np.ndarray) -> np.ndarray:
@@ -70,6 +67,11 @@ class Window:
     words: np.ndarray | None = None
     ints: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        for samples in (self.words, self.ints):
+            if samples is not None:
+                samples.setflags(write=False)
+
     @property
     def is_packed(self) -> bool:
         return self.words is not None
@@ -100,54 +102,82 @@ class CorrelationEstimate:
         return cls(rho=total / length, window_len=length, sigma=length ** -0.5)
 
 
+def _frame(seed: int, offsets: Iterable[int], start: int,
+           length: int) -> dict[int, np.ndarray]:
+    """Sign bits of [start + o, start + o + length) for each distinct o.
+
+    Overlapping or touching intervals merge into runs, each hashed by one
+    :func:`sign_bits` call: ``P[0, 2**40]`` hashes two runs of ``length``.
+    """
+    runs: list[list[int]] = []
+    for o in sorted(set(offsets)):
+        if runs and o <= runs[-1][-1] + length:
+            runs[-1].append(o)
+        else:
+            runs.append([o])
+    frame: dict[int, np.ndarray] = {}
+    for run in runs:
+        bits = sign_bits(seed, start + run[0], run[-1] - run[0] + length)
+        frame.update((o, bits[o - run[0]:o - run[0] + length]) for o in run)
+    return frame
+
+
+def _product_bits(frame: dict[int, np.ndarray], offsets: tuple[int, ...],
+                  length: int) -> np.ndarray:
+    """0/1 samples of a product (1 encodes +1): the XOR fold of its
+    factors' sign bits.  An even factor count flips the fold's polarity,
+    so the fold starts from all ones."""
+    acc = np.full(length, len(offsets) % 2 == 0, dtype=np.uint8)
+    for o in offsets:
+        acc ^= frame[o]
+    return acc
+
+
 def product_words(source: NoiseSource | int, offsets: tuple[int, ...],
                   start: int, length: int) -> np.ndarray:
-    """Packed +-1 window of a product stream (bit 1 encodes +1).
-
-    XOR-folds the per-offset sign bits; an even factor count flips the
-    polarity of the fold and is fixed with one complement.
-    """
-    src = as_source(source)
-    nwords = (length + 63) // 64
-    acc = np.zeros(nwords, dtype=np.uint64)
-    for o in offsets:
-        acc ^= pack_bits(src.sign_bits(start + o, length))
-    if len(offsets) % 2 == 0:
-        acc = ~acc
-        acc[-1] &= _tail_mask(length)
-    return acc
+    """Packed +-1 window of a product stream (bit 1 encodes +1), folded
+    from one frame of sign bits (see :func:`_frame`) and packed once."""
+    frame = _frame(as_source(source).seed, offsets, start, length)
+    return pack_bits(_product_bits(frame, offsets, length))
 
 
 def materialize(source: NoiseSource | int, expr: StreamExpr,
                 start: int, length: int) -> Window:
-    """Evaluate ``expr`` over [start, start + length) into a Window."""
+    """Evaluate ``expr`` over [start, start + length) into a Window,
+    hashing the wave once for all of its factors."""
+    return materialize_many(source, (expr,), start, length)[0]
+
+
+def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
+                     start: int, length: int) -> list[Window]:
+    """:func:`materialize` for several expressions over one shared frame:
+    products are folded from its slices and packed, superpositions sum
+    their members' folds."""
     src = as_source(source)
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
     if start < 0:
         raise ValueError(f"window start must be non-negative, got {start}")
-    max_offset = 0
-    if isinstance(expr, Product):
-        max_offset = max(expr.offsets, default=0)
-    elif isinstance(expr, Superposition):
-        max_offset = max((max(m.offsets, default=0) for m in expr.members), default=0)
-    else:
-        raise TypeError(f"not a stream expression: {expr!r}")
-    if start + length + max_offset > MAX_INDEX:
+    for expr in exprs:
+        if not isinstance(expr, (Product, Superposition)):
+            raise TypeError(f"not a stream expression: {expr!r}")
+    offsets = {o for e in exprs for m in getattr(e, "members", (e,)) for o in m.offsets}
+    if start + length + max(offsets, default=0) > MAX_INDEX:
         raise OverflowError("window reaches past the supported sample index range")
+    frame = _frame(src.seed, offsets, start, length)
 
-    if isinstance(expr, Product):
-        words = product_words(src, expr.offsets, start, length)
-        words.setflags(write=False)
-        return Window(start=start, length=length, seed=src.seed, expr=expr, words=words)
-
-    total = np.zeros(length, dtype=np.int32)
-    for m in expr.members:
-        w = product_words(src, m.offsets, start, length)
-        bits = unpack_bits(w, length).astype(np.int32)
-        total += (bits << 1) - 1
-    total.setflags(write=False)
-    return Window(start=start, length=length, seed=src.seed, expr=expr, ints=total)
+    windows = []
+    for expr in exprs:
+        if isinstance(expr, Product):
+            words = pack_bits(_product_bits(frame, expr.offsets, length))
+            windows.append(Window(start, length, src.seed, expr, words=words))
+            continue
+        plus = np.zeros(length, dtype=np.int32)  # members at +1, per sample
+        for m in expr.members:
+            plus += _product_bits(frame, m.offsets, length)
+        ints = 2 * plus - len(expr.members)
+        windows.append(Window(start, length, src.seed, expr, ints=ints))
+    return windows
 
 
 def correlate(a: Window, b: Window) -> CorrelationEstimate:
@@ -174,15 +204,8 @@ def negate(w: Window) -> Window:
     """Pointwise sign flip; provenance is dropped (negation has no
     expression form in the algebra)."""
     if w.words is not None:
-        flipped = ~w.words
-        flipped[-1] &= _tail_mask(w.length)
-        flipped.setflags(write=False)
-        return Window(start=w.start, length=w.length, seed=w.seed, expr=None,
-                      words=flipped)
-    flipped = -w.ints
-    flipped.setflags(write=False)
-    return Window(start=w.start, length=w.length, seed=w.seed, expr=None,
-                  ints=flipped)
+        return replace(w, expr=None, words=pack_bits(unpack_bits(w.words, w.length) ^ 1))
+    return replace(w, expr=None, ints=-w.ints)
 
 
 # ----------------------------------------------------------------------
@@ -223,8 +246,6 @@ def load_window(fh: BinaryIO) -> Window:
     if kind == 0:
         nwords = (length + 63) // 64
         words = np.frombuffer(fh.read(8 * nwords), dtype="<u8").astype(np.uint64)
-        words.setflags(write=False)
         return Window(start=start, length=length, seed=seed, expr=expr, words=words)
     ints = np.frombuffer(fh.read(4 * length), dtype="<i4").astype(np.int32)
-    ints.setflags(write=False)
     return Window(start=start, length=length, seed=seed, expr=expr, ints=ints)

@@ -153,3 +153,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "classical_bits=2" in proc.stdout
+
+
+@pytest.mark.parametrize("m", ["0", "17"])
+def test_encode_decode_rejects_m_strings_out_of_range(capsys, m):
+    code, out, err = run_cli(capsys, "encode-decode", "--n", "4", "--m-strings", m)
+    assert code == 2 and out == ""
+    assert f"m_strings must be in 1..2**n_eff = 1..16, got {m}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["encode-decode", "--n", "4"],
+    ["holographic", "--n", "3", "--strings", "010"],
+])
+def test_non_finite_threshold_is_a_usage_error(capsys, command):
+    code, _, err = run_cli(capsys, *command, "--threshold", "nan")
+    assert code == 2
+    assert "threshold must be a finite number" in err

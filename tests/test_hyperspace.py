@@ -146,6 +146,22 @@ def test_sweep_on_packed_signal_window():
     assert decode_superposition(w, sys) == {s}
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_readout_rejects_non_finite_threshold(threshold):
+    sys = build_reference_system(42, 4)
+    w = materialize(sys.source, encode_set(sys, [(0, 1, 0, 1)]), 0, 1000)
+    with pytest.raises(ValueError, match="finite"):
+        decode_superposition(w, sys, threshold=threshold)
+    with pytest.raises(ValueError, match="finite"):
+        decode_report(w, sys, threshold=threshold)
+
+
+@pytest.mark.parametrize("m_strings", [0, -1, 17])
+def test_round_trip_rejects_m_strings_out_of_range(m_strings):
+    with pytest.raises(ValueError, match=r"1\.\.2\*\*n_eff = 1\.\.16"):
+        round_trip_run(42, 4, m_strings)
+
+
 def test_decode_zero_signal_is_empty():
     sys = build_reference_system(42, 5)
     w = materialize(sys.source, encode_set(sys, []), 0, 10_000)
