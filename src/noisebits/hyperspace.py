@@ -13,10 +13,11 @@ c is base * prod_{i in c} f_i, so its correlation total is the
 Walsh-Hadamard transform, at c, of the histogram of wire * base over
 the per-sample flip patterns.  The sweep hashes one frame of
 L + 2*n_eff - 1 samples, bins the L weights into 2**n_eff int64 totals
-and runs n_eff in-place butterfly passes (Fino & Algazi, 1976): cost
-O(L + n_eff * 2**n_eff), exact in integer arithmetic until one division
-by L.  The cap ``max_n`` bounds the 2**n_eff * 8-byte histogram; raising
-it is an explicit opt-in.
+(``source.BLOCK`` samples at a time, so its temporaries stay small
+whatever L) and runs n_eff in-place butterfly passes (Fino & Algazi,
+1976): cost O(L + n_eff * 2**n_eff), exact in integer arithmetic until
+one division by L.  The cap ``max_n`` bounds the 2**n_eff * 8-byte
+histogram; raising it is an explicit opt-in.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .expr import Product, Superposition, member_count, superpose
 from .reference import ReferenceSystem, build_reference_system
-from .source import sign_bits
+from .source import BLOCK, sign_bits
 from .window import Window, correlate, materialize
 
 #: Classical bit strings are plain tuples of 0/1 ints.
@@ -171,15 +172,19 @@ def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
     start, length = signal_window.start, signal_window.length
     # Reference (i, b) is the frame at offset 2i + b (i from 0 here).
     frame = sign_bits(sys.seed, start, length + 2 * n - 1)
-    flips = frame[:-1] ^ frame[1:]
-    base = np.full(length, n % 2 == 0, dtype=np.uint8)  # bit 1 encodes +1
-    pattern = np.zeros(length, dtype=np.intp)
-    for i in range(n):
-        base ^= frame[2 * i:2 * i + length]
-        pattern |= flips[2 * i:2 * i + length].astype(np.intp) << i
-    signal = signal_window.values.astype(np.int64)
+    signal = signal_window.values
     totals = np.zeros(1 << n, dtype=np.int64)
-    np.add.at(totals, pattern, np.where(base, signal, -signal))
+    for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
+        sub = frame[pos:pos + BLOCK + 2 * n - 1]
+        k = sub.size - 2 * n + 1
+        flips = sub[:-1] ^ sub[1:]
+        base = np.full(k, n % 2 == 0, dtype=np.uint8)  # bit 1 encodes +1
+        pattern = np.zeros(k, dtype=np.intp)
+        for i in range(n):
+            base ^= sub[2 * i:2 * i + k]
+            pattern |= flips[2 * i:2 * i + k].astype(np.intp) << i
+        weight = signal[pos:pos + k].astype(np.int64)
+        np.add.at(totals, pattern, np.where(base, weight, -weight))
     for i in range(n):  # in-place butterflies: (lo, hi) -> (lo + hi, lo - hi)
         pairs = totals.reshape(-1, 2, 1 << i)
         lo, hi = pairs[:, 0], pairs[:, 1]

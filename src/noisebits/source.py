@@ -38,8 +38,17 @@ DEFAULT_SEED = 42
 #: Keeps all index arithmetic comfortably inside 64-bit words.
 MAX_INDEX = 1 << 62
 
-_U64_MULT1 = np.uint64(_MULT1)
-_U64_MULT2 = np.uint64(_MULT2)
+#: mix64's (shift, multiplier) steps as numpy scalars.
+_MIX_STEPS = ((np.uint64(30), np.uint64(_MULT1)), (np.uint64(27), np.uint64(_MULT2)))
+
+#: Samples per step of the blocked loops (sign_bits, the readout sweep).
+#: A buffer of 8 bytes per sample, 128 000 bytes, stays in cache and just
+#: below malloc's 128 KiB mmap threshold, so it reuses heap pages.
+BLOCK = 16_000
+
+#: rotl64(n + j, 32) = rotl64(n, 32) + (j << 32) while n's low half does not wrap.
+_ROT_STEPS = np.arange(BLOCK, dtype=np.uint64) << np.uint64(_INDEX_ROT)
+_ROT_STEPS.setflags(write=False)
 
 
 def mix64(x: int) -> int:
@@ -62,7 +71,9 @@ def source_sample(seed: int, n: int) -> int:
 
 
 def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
-    """Block of sign bits as uint8; 1 encodes +1. Matches ``source_sample``."""
+    """Block of sign bits as uint8; 1 encodes +1. Matches ``source_sample``.
+    Hashes BLOCK samples at a time on two reused buffers; mix64's last
+    ``x ^= x >> 31`` leaves bit 63 as is and is skipped."""
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     if length < 1:
@@ -71,17 +82,24 @@ def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
         raise OverflowError(
             f"sample index {start + length} exceeds the supported range (2**62)"
         )
-    # In place on two buffers; mix64's last x ^= x >> 31 leaves bit 63 as is.
-    x = np.arange(start, start + length, dtype=np.uint64)
-    t = x >> np.uint64(64 - _INDEX_ROT)
-    x <<= np.uint64(_INDEX_ROT)
-    x |= t
-    x ^= np.uint64(seed & MASK64)
-    for shift, mult in ((30, _U64_MULT1), (27, _U64_MULT2)):
-        np.right_shift(x, np.uint64(shift), out=t)
-        x ^= t
-        x *= mult
-    return np.right_shift(x, np.uint64(63), out=x).astype(np.uint8)
+    out = np.empty(length, dtype=np.uint8)
+    x = np.empty(min(length, BLOCK), dtype=np.uint64)
+    t = np.empty_like(x)
+    key = np.uint64(seed & MASK64)
+    pos = 0
+    while pos < length:
+        n = start + pos
+        k = min(length - pos, BLOCK, (1 << 32) - (n & 0xFFFFFFFF))
+        xk, tk = x[:k], t[:k]
+        np.add(_ROT_STEPS[:k], np.uint64((n & 0xFFFFFFFF) << 32 | n >> 32), out=xk)
+        xk ^= key
+        for shift, mult in _MIX_STEPS:
+            np.right_shift(xk, shift, out=tk)
+            xk ^= tk
+            xk *= mult
+        np.right_shift(xk, np.uint64(63), out=out[pos:pos + k], casting="unsafe")
+        pos += k
+    return out
 
 
 def sample_block(seed: int, start: int, length: int) -> np.ndarray:

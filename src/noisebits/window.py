@@ -10,7 +10,8 @@ Superposition windows hold the signed integer sum per sample (int32).
 
 Materializing hashes the wave once per frame (one run of sign bits per
 group of overlapping factor intervals) and XOR-folds each product from
-slices of it.
+slices of it, one block of ``_FOLD_BLOCK`` samples at a time, so the
+frame and the fold buffer stay in cache however long the window.
 
 Correlation is computed in exact integer arithmetic and divided once at
 the end, so diagonal correlations are exactly 1.0 and results are
@@ -29,7 +30,7 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .expr import Product, StreamExpr, Superposition, canonical_str, parse_expr
-from .source import MAX_INDEX, NoiseSource, as_source, sign_bits
+from .source import BLOCK, MAX_INDEX, NoiseSource, as_source, sign_bits
 
 
 def pack_bits(bits01: np.ndarray) -> np.ndarray:
@@ -102,6 +103,12 @@ class CorrelationEstimate:
         return cls(rho=total / length, window_len=length, sigma=length ** -0.5)
 
 
+#: Samples per block of :func:`materialize_many`: a multiple of 64, so
+#: blocks pack into whole words, and at one byte per sample as large as
+#: ``BLOCK`` is at eight, so a block's frame and fold stay in cache.
+_FOLD_BLOCK = 8 * BLOCK
+
+
 def _frame(seed: int, offsets: Iterable[int], start: int,
            length: int) -> dict[int, np.ndarray]:
     """Sign bits of [start + o, start + o + length) for each distinct o.
@@ -123,14 +130,14 @@ def _frame(seed: int, offsets: Iterable[int], start: int,
 
 
 def _product_bits(frame: dict[int, np.ndarray], offsets: tuple[int, ...],
-                  length: int) -> np.ndarray:
-    """0/1 samples of a product (1 encodes +1): the XOR fold of its
-    factors' sign bits.  An even factor count flips the fold's polarity,
-    so the fold starts from all ones."""
-    acc = np.full(length, len(offsets) % 2 == 0, dtype=np.uint8)
+                  out: np.ndarray) -> np.ndarray:
+    """0/1 samples of a product (1 encodes +1) into ``out``: the XOR fold
+    of its factors' sign bits.  An even factor count flips the fold's
+    polarity, so the fold starts from all ones."""
+    out.fill(len(offsets) % 2 == 0)
     for o in offsets:
-        acc ^= frame[o]
-    return acc
+        out ^= frame[o]
+    return out
 
 
 def product_words(source: NoiseSource | int, offsets: tuple[int, ...],
@@ -138,7 +145,7 @@ def product_words(source: NoiseSource | int, offsets: tuple[int, ...],
     """Packed +-1 window of a product stream (bit 1 encodes +1), folded
     from one frame of sign bits (see :func:`_frame`) and packed once."""
     frame = _frame(as_source(source).seed, offsets, start, length)
-    return pack_bits(_product_bits(frame, offsets, length))
+    return pack_bits(_product_bits(frame, offsets, np.empty(length, dtype=np.uint8)))
 
 
 def materialize(source: NoiseSource | int, expr: StreamExpr,
@@ -150,8 +157,9 @@ def materialize(source: NoiseSource | int, expr: StreamExpr,
 
 def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
                      start: int, length: int) -> list[Window]:
-    """:func:`materialize` for several expressions over one shared frame:
-    products are folded from its slices and packed, superpositions sum
+    """:func:`materialize` for several expressions over one shared frame,
+    built ``_FOLD_BLOCK`` samples at a time: products are folded from the
+    block's frame slices and packed into their words, superpositions sum
     their members' folds."""
     src = as_source(source)
     if length < 1:
@@ -164,20 +172,26 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
     offsets = {o for e in exprs for m in getattr(e, "members", (e,)) for o in m.offsets}
     if start + length + max(offsets, default=0) > MAX_INDEX:
         raise OverflowError("window reaches past the supported sample index range")
-    frame = _frame(src.seed, offsets, start, length)
-
-    windows = []
-    for expr in exprs:
-        if isinstance(expr, Product):
-            words = pack_bits(_product_bits(frame, expr.offsets, length))
-            windows.append(Window(start, length, src.seed, expr, words=words))
-            continue
-        plus = np.zeros(length, dtype=np.int32)  # members at +1, per sample
-        for m in expr.members:
-            plus += _product_bits(frame, m.offsets, length)
-        ints = 2 * plus - len(expr.members)
-        windows.append(Window(start, length, src.seed, expr, ints=ints))
-    return windows
+    samples = [np.zeros((length + 63) // 64, dtype=np.uint64) if isinstance(e, Product)
+               else np.zeros(length, dtype=np.int32) for e in exprs]
+    bits = np.empty(min(length, _FOLD_BLOCK), dtype=np.uint8)  # one fold buffer
+    for pos in range(0, length, _FOLD_BLOCK):
+        k = min(_FOLD_BLOCK, length - pos)
+        frame = _frame(src.seed, offsets, start + pos, k)
+        for expr, out in zip(exprs, samples):
+            if isinstance(expr, Product):
+                packed = np.packbits(_product_bits(frame, expr.offsets, bits[:k]),
+                                     bitorder="little")
+                out.view(np.uint8)[pos // 8:pos // 8 + packed.size] = packed
+                continue
+            signed = out[pos:pos + k]  # members at +1, then the signed sum
+            for m in expr.members:
+                signed += _product_bits(frame, m.offsets, bits[:k])
+            signed *= 2
+            signed -= len(expr.members)
+    return [Window(start, length, src.seed, e, words=out) if isinstance(e, Product)
+            else Window(start, length, src.seed, e, ints=out)
+            for e, out in zip(exprs, samples)]
 
 
 def correlate(a: Window, b: Window) -> CorrelationEstimate:
