@@ -194,8 +194,8 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     every reference with one global guess restores only those whose
     assigned shift happens to equal the guess.
     """
+    ref = sys.reference_noise(i, b)  # validates (i, b) before the lookup
     r = assignment[(i, b)]
-    ref = sys.reference_noise(i, b)
     hidden = shift(ref, r)
     compensated_expr = shift(ref, r)
     w_hidden, w_ref, w_compensated = materialize_many(

@@ -1,18 +1,30 @@
 """Command-line driver for the experiments.
 
 Every subcommand is configured entirely by flags (seeds included), so
-identical invocations produce byte-identical output.  Summary lines go
-to stdout; the full report is written to ``--out`` as JSON (``ortho``
-defaults to CSV).  Exit status: 0 on success, 1 when a demo's verdict
-fails (for example a decode mismatch), 2 on usage errors.
+identical invocations produce byte-identical output.  Handlers only
+compute; :func:`main` writes every subcommand's output in one place:
+
+- stdout: the summary lines, ending in ``ok: true|false`` when the
+  report has an ``ok`` field (``holographic``, ``noncommute``,
+  ``randshift``).  ``ortho`` without ``--out`` prints its body instead.
+- ``--out``: the JSON report ``{"schema": 1, "subcommand": ..., ...}``,
+  or for ``ortho`` its body: CSV, or that JSON with ``--format json``.
+- ``--csv`` (the three demos): a flat table of correlations, gate rhos
+  or shift assignment.
+
+Exit status: 0 on success, 1 when a verdict fails (a decode mismatch or
+a false ``ok``), 2 on usage errors, including an ``--out`` or ``--csv``
+path that cannot be written.  An error leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, NamedTuple, Sequence
 
 from .apps import ShiftAssignment, holographic_demo, noncommute_demo, random_shift_demo
 from .hyperspace import (
@@ -29,206 +41,155 @@ from .source import DEFAULT_SEED
 SCHEMA_VERSION = 1
 
 
-def _write_report(report: dict, out: str | None) -> None:
-    if out:
-        Path(out).write_text(json.dumps(report, indent=2) + "\n")
+class Result(NamedTuple):
+    """What a subcommand computed, for :func:`_emit` to write out."""
+
+    report: dict            # report fields; a false "ok" fails the verdict
+    summary: list[str]      # stdout lines
+    ok: bool = True         # False fails the verdict without an "ok" field
+    body: str | None = None  # --out text in place of the JSON report
+    body_on_stdout: bool = False  # without --out, print the body, not the summary
+    table: tuple[Sequence[str], Iterable[Sequence]] | None = None  # --csv columns, rows
 
 
-def _write_csv(text: str, path: str | None) -> None:
-    if path:
-        Path(path).write_text(text)
+def _csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """A header line, then one line per row; floats are written as %.6g."""
+    return "".join(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
+                   + "\n" for row in (columns, *rows))
 
 
-def _correlations_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _cmd_capacity(args: argparse.Namespace) -> Result:
+    c = capacity(args.n, args.m if args.m is not None else 2 * args.k * args.n)
+    return Result({"N": c.n_bits, "M": c.shift_steps, "k": c.shift_steps // (2 * c.n_bits),
+                   "classical_bits": c.classical_bits, "dimension_factor": c.dimension_factor},
+                  [f"classical_bits={c.classical_bits}", f"dimension_factor={c.dimension_factor}"])
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    if args.m is not None:
-        report = capacity(args.n, args.m)
-    else:
-        report = capacity(args.n, 2 * args.k * args.n)
-    print(f"classical_bits={report.classical_bits}")
-    print(f"dimension_factor={report.dimension_factor}")
-    _write_report({
-        "schema": SCHEMA_VERSION,
-        "subcommand": "capacity",
-        "N": report.n_bits,
-        "M": report.shift_steps,
-        "k": report.shift_steps // (2 * report.n_bits),
-        "classical_bits": report.classical_bits,
-        "dimension_factor": report.dimension_factor,
-    }, args.out)
-    return 0
-
-
-def _cmd_ortho(args: argparse.Namespace) -> int:
+def _cmd_ortho(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
     matrix = orthogonality_matrix(sys_, args.l, args.start)
-    size = 2 * sys_.n_eff
-    max_offdiag = max(abs(matrix[i][j].rho)
-                      for i in range(size) for j in range(size) if i != j)
-    if args.format == "csv":
-        text = orthogonality_csv(sys_, matrix)
-        if args.out:
-            Path(args.out).write_text(text)
-            print(f"max_offdiag_abs={max_offdiag:.6g}")
-        else:
-            sys.stdout.write(text)
-        return 0
-    report = {
-        "schema": SCHEMA_VERSION,
-        "subcommand": "ortho",
-        "seed": sys_.seed,
-        "N": args.n,
-        "k": args.k,
-        "L": args.l,
-        "start": args.start,
-        "labels": sys_.labels(),
-        "rho": [[est.rho for est in row] for row in matrix],
-        "max_offdiag_abs": max_offdiag,
-    }
-    if args.out:
-        _write_report(report, args.out)
-        print(f"max_offdiag_abs={max_offdiag:.6g}")
-    else:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-    return 0
+    max_offdiag = max(abs(est.rho) for i, row in enumerate(matrix)
+                      for j, est in enumerate(row) if i != j)
+    return Result({"seed": sys_.seed, "N": args.n, "k": args.k, "L": args.l,
+                   "start": args.start, "labels": sys_.labels(),
+                   "rho": [[est.rho for est in row] for row in matrix],
+                   "max_offdiag_abs": max_offdiag},
+                  [f"max_offdiag_abs={max_offdiag:.6g}"], body_on_stdout=True,
+                  body=orthogonality_csv(sys_, matrix) if args.format == "csv" else None)
 
 
-def _cmd_encode_decode(args: argparse.Namespace) -> int:
+def _cmd_encode_decode(args: argparse.Namespace) -> Result:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = list(range(args.seed, args.seed + args.seeds))
-    runs = [round_trip_run(s, args.n, args.m_strings, args.l,
-                           threshold=args.threshold, max_n=args.max_n,
-                           extra_shift_rounds=args.k) for s in seeds]
+    runs = [round_trip_run(s, args.n, args.m_strings, args.l, threshold=args.threshold,
+                           max_n=args.max_n, extra_shift_rounds=args.k) for s in seeds]
     mismatches = sum(not r["ok"] for r in runs)
-    print(f"mismatches: {mismatches}")
-    print(f"member_rho_range=[{min(r['member_rho_min'] for r in runs):.6g},"
-          f"{max(r['member_rho_max'] for r in runs):.6g}]")
-    print(f"nonmember_abs_max={max(r['nonmember_abs_max'] for r in runs):.6g}")
-    _write_report({
-        "schema": SCHEMA_VERSION,
-        "subcommand": "encode-decode",
-        "N": args.n,
-        "k": args.k,
-        "m": args.m_strings,
-        "threshold": args.threshold,
-        "max_n": args.max_n,
-        "seeds": seeds,
-        "mismatches": mismatches,
-        "runs": runs,
-    }, args.out)
-    return 0 if mismatches == 0 else 1
+    return Result({"N": args.n, "k": args.k, "m": args.m_strings, "threshold": args.threshold,
+                   "max_n": args.max_n, "seeds": seeds, "mismatches": mismatches,
+                   "runs": runs},
+                  [f"mismatches: {mismatches}",
+                   f"member_rho_range=[{min(r['member_rho_min'] for r in runs):.6g},"
+                   f"{max(r['member_rho_max'] for r in runs):.6g}]",
+                   f"nonmember_abs_max={max(r['nonmember_abs_max'] for r in runs):.6g}"],
+                  ok=mismatches == 0)
 
 
-def _cmd_holographic(args: argparse.Namespace) -> int:
+def _cmd_holographic(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
-    if args.strings:
-        string_sets = [[parse_bits(s) for s in args.strings.split(",")]]
-    else:
-        string_sets = [[int_to_bits(v, sys_.n_eff)]
-                       for v in range(1 << sys_.n_eff)]
-    sub_reports = [holographic_demo(sys_, strings, args.d, args.l,
-                                    threshold=args.threshold, max_n=args.max_n)
-                   for strings in string_sets]
-    ok = all(r["ok"] for r in sub_reports)
-    for r in sub_reports:
-        print(f"input={{{','.join(r['input'])}}} decoded={{{','.join(r['decoded'])}}}"
-              f" expected={{{','.join(r['expected'])}}} ok={str(r['ok']).lower()}")
-    print(f"ok: {str(ok).lower()}")
-    _write_report({
-        "schema": SCHEMA_VERSION,
-        "subcommand": "holographic",
-        "N": args.n,
-        "k": args.k,
-        "d": args.d,
-        "ok": ok,
-        "runs": sub_reports,
-    }, args.out)
-    if args.csv:
-        rows = [{"input": ",".join(r["input"]), "candidate": c["candidate"],
-                 "rho": c["rho"]}
-                for r in sub_reports for c in r.get("correlations", [])]
-        _write_csv(_correlations_csv(rows, ["input", "candidate", "rho"]), args.csv)
-    return 0 if ok else 1
+    string_sets = ([[parse_bits(s) for s in args.strings.split(",")]] if args.strings
+                   else [[int_to_bits(v, sys_.n_eff)] for v in range(1 << sys_.n_eff)])
+    runs = [holographic_demo(sys_, strings, args.d, args.l,
+                             threshold=args.threshold, max_n=args.max_n)
+            for strings in string_sets]
+    return Result({"N": args.n, "k": args.k, "d": args.d,
+                   "ok": all(r["ok"] for r in runs), "runs": runs},
+                  [f"input={{{','.join(r['input'])}}} decoded={{{','.join(r['decoded'])}}}"
+                   f" expected={{{','.join(r['expected'])}}} ok={str(r['ok']).lower()}"
+                   for r in runs],
+                  table=(("input", "candidate", "rho"),
+                         ((",".join(r["input"]), c["candidate"], c["rho"])
+                          for r in runs for c in r.get("correlations", []))))
 
 
-def _cmd_noncommute(args: argparse.Namespace) -> int:
+def _cmd_noncommute(args: argparse.Namespace) -> Result:
+    if args.i is None and args.b is not None:
+        raise ValueError("--b needs --i: without --i every (i, b) pair is run")
     sys_ = build_reference_system(args.seed, args.n, args.k)
-    x = encode_string(sys_, parse_bits(args.x)) if args.x else \
-        encode_string(sys_, (0,) * sys_.n_eff)
-    if args.i is not None:
-        pairs = [(args.i, args.b)]
-    else:
-        pairs = [(i, b) for i in range(1, sys_.n_eff + 1) for b in (0, 1)]
-    sub_reports = [noncommute_demo(sys_, x, i, b, args.d, args.l)
-                   for i, b in pairs]
-    ok = all(r["ok"] for r in sub_reports)
-    for r in sub_reports:
-        print(f"i={r['i']} b={r['b']} cross_rho={r['cross_rho']:.6g}"
-              f" structurally_equal={str(r['structurally_equal']).lower()}"
-              f" ok={str(r['ok']).lower()}")
-    print(f"ok: {str(ok).lower()}")
-    _write_report({
-        "schema": SCHEMA_VERSION,
-        "subcommand": "noncommute",
-        "N": args.n,
-        "k": args.k,
-        "d": args.d,
-        "L": args.l,
-        "ok": ok,
-        "runs": sub_reports,
-    }, args.out)
-    if args.csv:
-        rows = [{"i": r["i"], "b": r["b"], "cross_rho": r["cross_rho"],
-                 "self_rho_ab": r["self_rho_ab"], "self_rho_ba": r["self_rho_ba"]}
-                for r in sub_reports]
-        _write_csv(_correlations_csv(
-            rows, ["i", "b", "cross_rho", "self_rho_ab", "self_rho_ba"]), args.csv)
-    return 0 if ok else 1
+    x = encode_string(sys_, parse_bits(args.x) if args.x else (0,) * sys_.n_eff)
+    pairs = ([(args.i, args.b or 0)] if args.i is not None
+             else [(i, b) for i in range(1, sys_.n_eff + 1) for b in (0, 1)])
+    runs = [noncommute_demo(sys_, x, i, b, args.d, args.l) for i, b in pairs]
+    columns = ("i", "b", "cross_rho", "self_rho_ab", "self_rho_ba")
+    return Result({"N": args.n, "k": args.k, "d": args.d, "L": args.l,
+                   "ok": all(r["ok"] for r in runs), "runs": runs},
+                  [f"i={r['i']} b={r['b']} cross_rho={r['cross_rho']:.6g}"
+                   f" structurally_equal={str(r['structurally_equal']).lower()}"
+                   f" ok={str(r['ok']).lower()}" for r in runs],
+                  table=(columns, ([r[c] for c in columns] for r in runs)))
 
 
-def _cmd_randshift(args: argparse.Namespace) -> int:
+def _cmd_randshift(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
     assignment = ShiftAssignment.draw(sys_, args.assign_seed, args.r_max,
                                       distinct=not args.repeats)
     report = random_shift_demo(sys_, assignment, args.i, args.b, args.l,
                                global_shift=args.global_d)
-    print(f"r={report['r']} uncompensated_rho={report['uncompensated_rho']:.6g}"
-          f" compensated_rho={report['compensated_rho']:.6g}")
-    print(f"global_shift={report['global_shift']}"
-          f" restored_count={report['restored_count']}")
-    print(f"ok: {str(report['ok']).lower()}")
-    _write_report({"schema": SCHEMA_VERSION, "subcommand": "randshift",
-                   "assign_seed": args.assign_seed, **report}, args.out)
-    if args.csv:
-        rows = [{"reference": label, "r": r}
-                for label, r in report["assignment"].items()]
-        _write_csv(_correlations_csv(rows, ["reference", "r"]), args.csv)
-    return 0 if report["ok"] else 1
+    return Result({"assign_seed": args.assign_seed, **report},
+                  [f"r={report['r']} uncompensated_rho={report['uncompensated_rho']:.6g}"
+                   f" compensated_rho={report['compensated_rho']:.6g}",
+                   f"global_shift={report['global_shift']}"
+                   f" restored_count={report['restored_count']}"],
+                  table=(("reference", "r"), report["assignment"].items()))
 
 
-def _add_common(p: argparse.ArgumentParser, *, length: int | None) -> None:
+def _emit(args: argparse.Namespace, result: Result) -> int:
+    """The one place the CLI writes output; returns the exit status.
+    Files are written first, so a failed write leaves stdout empty."""
+    body = result.body
+    if body is None and (args.out or result.body_on_stdout):
+        body = json.dumps({"schema": SCHEMA_VERSION, "subcommand": args.command,
+                           **result.report}, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(body)
+    if result.table and args.csv:
+        Path(args.csv).write_text(_csv(*result.table))
+    if result.body_on_stdout and not args.out:
+        sys.stdout.write(body)
+    else:
+        verdict = [f"ok: {str(result.report['ok']).lower()}"] if "ok" in result.report else []
+        print("\n".join(result.summary + verdict))
+    return 0 if result.ok and result.report.get("ok", True) else 1
+
+
+def _experiment(sub, name: str, func, help: str, *, n: int | None = None,
+                length: int | None = None, readout: bool = False,
+                csv: str = "") -> argparse.ArgumentParser:
+    """Add an experiment's subparser with its handler and shared flags;
+    ``--l`` defaults to the readout window policy when ``length`` is None."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--n", type=int, required=n is None, default=n, help="noise bits N")
+    if readout:
+        p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
+    if csv:
+        p.add_argument("--csv", help=csv)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="noise source seed (default %(default)s)")
     p.add_argument("--k", type=int, default=0,
                    help="expansion rounds (default %(default)s)")
-    if length is not None:
-        p.add_argument("--l", type=int, default=length,
-                       help="window length in samples (default %(default)s)")
+    p.add_argument("--l", type=int, default=length,
+                   help="window length in samples (default %(default)s)" if length else
+                        "window length (default: policy max(1e4, 400*(m-1)))")
     p.add_argument("--out", help="write the full JSON report here")
+    return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call
+    to :func:`main`; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="noisebits",
         description="Noise-based logic experiments on a single telegraph wave.",
@@ -243,57 +204,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the full JSON report here")
     p.set_defaults(func=_cmd_capacity)
 
-    p = sub.add_parser("ortho", help="pairwise reference correlations")
-    p.add_argument("--n", type=int, required=True, help="noise bits N")
-    _add_common(p, length=1_000_000)
+    p = _experiment(sub, "ortho", _cmd_ortho, "pairwise reference correlations",
+                    length=1_000_000)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_ortho)
 
-    p = sub.add_parser("encode-decode",
-                       help="random-set round trip through one wire")
-    p.add_argument("--n", type=int, required=True, help="noise bits N")
+    p = _experiment(sub, "encode-decode", _cmd_encode_decode,
+                    "random-set round trip through one wire", readout=True)
     p.add_argument("--m-strings", type=int, default=5,
                    help="strings per set (default %(default)s)")
     p.add_argument("--seeds", type=int, default=1,
                    help="number of consecutive seeds to run (default %(default)s)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    _add_common(p, length=None)
-    p.add_argument("--l", type=int, default=None,
-                   help="window length (default: policy max(1e4, 400*(m-1)))")
-    p.set_defaults(func=_cmd_encode_decode)
 
-    p = sub.add_parser("holographic",
-                       help="decode a shifted superposition against unshifted references")
-    p.add_argument("--n", type=int, required=True, help="noise bits N")
+    p = _experiment(sub, "holographic", _cmd_holographic,
+                    "decode a shifted superposition against unshifted references",
+                    readout=True, csv="also write a correlations CSV here")
     p.add_argument("--d", type=int, default=1, help="whole-signal shift (periods)")
     p.add_argument("--strings",
                    help="comma-separated bit strings to encode; default sweeps "
                         "every singleton")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
-    p.add_argument("--csv", help="also write a correlations CSV here")
-    _add_common(p, length=None)
-    p.add_argument("--l", type=int, default=None,
-                   help="window length (default: policy)")
-    p.set_defaults(func=_cmd_holographic)
 
-    p = sub.add_parser("noncommute",
-                       help="multiply-then-shift vs shift-then-multiply")
-    p.add_argument("--n", type=int, default=2, help="noise bits N")
+    p = _experiment(sub, "noncommute", _cmd_noncommute,
+                    "multiply-then-shift vs shift-then-multiply", n=2,
+                    length=1_000_000, csv="also write a correlations CSV here")
     p.add_argument("--i", type=int, help="noise bit index (default: all pairs)")
-    p.add_argument("--b", type=int, choices=(0, 1), default=0,
-                   help="bit value, used together with --i")
+    p.add_argument("--b", type=int, choices=(0, 1),
+                   help="bit value, used together with --i (default 0)")
     p.add_argument("--d", type=int, default=1, help="shift step (periods)")
     p.add_argument("--x", help="input product string bits (default all zeros)")
-    p.add_argument("--csv", help="also write a correlations CSV here")
-    _add_common(p, length=1_000_000)
-    p.set_defaults(func=_cmd_noncommute)
 
-    p = sub.add_parser("randshift",
-                       help="fixed random shifts: hiding and restoring references")
-    p.add_argument("--n", type=int, default=3, help="noise bits N")
+    p = _experiment(sub, "randshift", _cmd_randshift,
+                    "fixed random shifts: hiding and restoring references", n=3,
+                    length=1_000_000, csv="also write the assignment as CSV here")
     p.add_argument("--assign-seed", type=int, default=7,
                    help="seed of the shift assignment draw (default %(default)s)")
     p.add_argument("--r-max", type=int, default=None,
@@ -304,19 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, choices=(0, 1), default=0, help="bit value")
     p.add_argument("--global-d", type=int, default=None,
                    help="global inverse-shift guess (default: the probed r)")
-    p.add_argument("--csv", help="also write the assignment as CSV here")
-    _add_common(p, length=1_000_000)
-    p.set_defaults(func=_cmd_randshift)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, OverflowError) as exc:
+        return _emit(args, args.func(args))
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ required to be bit-reproducible across platforms and package versions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,8 +116,9 @@ class NoiseSource:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
-            object.__setattr__(self, "seed", int(self.seed))
+        if isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed <= MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -131,4 +133,4 @@ def as_source(source: NoiseSource | int) -> NoiseSource:
     """Accept either a NoiseSource or a bare seed."""
     if isinstance(source, NoiseSource):
         return source
-    return NoiseSource(int(source))
+    return NoiseSource(source)

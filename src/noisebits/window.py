@@ -250,16 +250,33 @@ def dump_window(w: Window, fh: BinaryIO) -> None:
         fh.write(w.ints.astype("<i4").tobytes())
 
 
+def _read_exactly(fh: BinaryIO, size: int, part: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated window dump: {part} needs {size} bytes, got {len(data)}")
+    return data
+
+
 def load_window(fh: BinaryIO) -> Window:
-    """Read a window written by :func:`dump_window`."""
-    magic, seed, start, length, kind, elen = _HEADER.unpack(fh.read(_HEADER.size))
+    """Read a window written by :func:`dump_window`; a malformed dump
+    (truncated, unknown kind, out-of-range frame, trailing bytes) raises
+    ValueError."""
+    magic, seed, start, length, kind, elen = _HEADER.unpack(
+        _read_exactly(fh, _HEADER.size, "header"))
     if magic != _MAGIC:
         raise ValueError("not a window dump (bad magic)")
-    expr_text = fh.read(elen).decode()
+    if kind not in (0, 1):
+        raise ValueError(f"unknown window kind {kind}: 0 is packed, 1 is int32")
+    if length < 1 or start + length > MAX_INDEX:
+        raise ValueError(f"window frame [{start}, +{length}) out of range")
+    expr_text = _read_exactly(fh, elen, "expression").decode()
     expr = parse_expr(expr_text) if expr_text else None
+    payload = _read_exactly(fh, 8 * ((length + 63) // 64) if kind == 0 else 4 * length,
+                            "payload")
+    if fh.read(1):
+        raise ValueError("trailing bytes after the window payload")
     if kind == 0:
-        nwords = (length + 63) // 64
-        words = np.frombuffer(fh.read(8 * nwords), dtype="<u8").astype(np.uint64)
+        words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
         return Window(start=start, length=length, seed=seed, expr=expr, words=words)
-    ints = np.frombuffer(fh.read(4 * length), dtype="<i4").astype(np.int32)
+    ints = np.frombuffer(payload, dtype="<i4").astype(np.int32)
     return Window(start=start, length=length, seed=seed, expr=expr, ints=ints)

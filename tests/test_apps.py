@@ -184,3 +184,11 @@ def test_random_shift_single_global_guess_restores_one():
     other = asn[(2, 1)]
     report2 = random_shift_demo(sys, asn, 1, 0, 20_000, global_shift=other)
     assert report2["restored"] == ["V_2_1"]
+
+
+@pytest.mark.parametrize("i, b", [(9, 0), (0, 1), (1, 2)])
+def test_random_shift_rejects_reference_outside_ladder(i, b):
+    sys = build_reference_system(42, 2)
+    asn = ShiftAssignment.draw(sys, seed=7)
+    with pytest.raises(ValueError):
+        random_shift_demo(sys, asn, i, b, 1000)

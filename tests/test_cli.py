@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from noisebits.cli import main
+from noisebits.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -170,3 +171,128 @@ def test_non_finite_threshold_is_a_usage_error(capsys, command):
     code, _, err = run_cli(capsys, *command, "--threshold", "nan")
     assert code == 2
     assert "threshold must be a finite number" in err
+
+
+# Pinned SHA-256 of repr((exit code, stdout, stderr, --out bytes, --csv bytes))
+# per invocation; a file that is not written shows as None.  The digests were
+# recorded before the CLI's output code was consolidated, so they hold every
+# byte the CLI writes to the earlier version, not just to a second run.
+GOLDEN = {
+    "capacity-m": (["capacity", "--n", "3", "--m", "6"], True, False,
+        "4146f42cee5f42152a6aa28d2166badf7c42260a86c2d5d9068996753be0e016"),
+    "capacity-k": (["capacity", "--n", "2", "--k", "1"], False, False,
+        "fb1a392a6140b462aa95d5d22eb38c6f58acb1ba7b575f461a11cc4126fa73dd"),
+    "ortho-csv-stdout": (["ortho", "--n", "2", "--l", "4096"], False, False,
+        "9a402598e74be70f2995790e725f528f213259b417f8131aa5512df162d0f35b"),
+    "ortho-csv-out": (["ortho", "--n", "2", "--l", "4096"], True, False,
+        "1b13302a3b02363ce50abb5532a84b1e07413326c783aae8d2bce74f0e870c32"),
+    "ortho-json-stdout": (["ortho", "--n", "2", "--l", "4096", "--format", "json"],
+                          False, False,
+        "2b87cae7ec005e12e506fcdccc4453c4bc9cbf3122f8122f27ebeffca90eb39d"),
+    "ortho-json-out": (["ortho", "--n", "2", "--l", "4096", "--format", "json"],
+                       True, False,
+        "c58e6b0fc44a4e69a8770e05f0955c23970a7eefe5f51ad94f80362bbd3c888a"),
+    "encode-decode": (["encode-decode", "--n", "6", "--m-strings", "4", "--seeds", "2",
+                       "--seed", "4000"], True, False,
+        "3953c8f2033fb3b2a5b4b59607d7888228caddcad3c27af8ebe33b1bb7c5765e"),
+    "encode-decode-mismatch": (["encode-decode", "--n", "6", "--m-strings", "4",
+                                "--seeds", "2", "--seed", "4000", "--l", "64"],
+                               True, False,
+        "5766827854ce2efa88e1e885858b998fab1ac3ae05a4197a79545d506242aab1"),
+    "holographic-sweep": (["holographic", "--n", "2", "--l", "4096"], True, True,
+        "0ebf29d6cb730e520f164c4567313dc90ad426fc536e688f12b77f8d2d25913c"),
+    "holographic-wide": (["holographic", "--n", "11", "--strings", "00000000000",
+                          "--l", "4096"], True, True,
+        "73877df646bc6637c06de63ed522352d5a39db16e3082b119625ba66b176ac6f"),
+    "holographic-fail": (["holographic", "--n", "3", "--strings", "000",
+                          "--threshold", "2", "--l", "4096"], True, True,
+        "eb48a0cea695e695cbc29d1de2c5310dbaa6de8f809182331b58dd928f64b90d"),
+    "noncommute-pair": (["noncommute", "--n", "2", "--i", "2", "--b", "1",
+                         "--l", "4096"], True, True,
+        "3165e4e996976128b57f871399b3247c555c10b8c4539b28818c5006b0dcccca"),
+    "noncommute-all": (["noncommute", "--n", "1", "--l", "4096"], True, True,
+        "3751072b3fa87a5d4f80b2e39198ac0fec0243c842bcfa2f17d09e3a4b9ad315"),
+    "randshift": (["randshift", "--n", "2", "--l", "4096"], True, True,
+        "e76a4e6fb9caf3b8e6e23906194c4e6659d333b1f5f63e67e5f59d9c0ce74754"),
+    "randshift-global": (["randshift", "--n", "2", "--i", "2", "--b", "1", "--repeats",
+                          "--global-d", "3", "--l", "4096"], False, False,
+        "2da533b308a5f8a1b8095bcc39e143e39b8b22aad69fc8ee862c54e3966c8ce8"),
+    "capacity-bad-steps": (["capacity", "--n", "3", "--m", "5"], True, False,
+        "9384ded0b8a78d3afe9f973d8c3616e7b56cb04f2564db65dec77f4b765ea686"),
+    "capacity-no-n": (["capacity"], True, False,
+        "af6ee18439acfc8cb7ab87a920f260db25a059599be5cbd51213dc4908287716"),
+    "encode-decode-m0": (["encode-decode", "--n", "4", "--m-strings", "0"],
+                         True, False,
+        "40e69737ec45abf734ee464df1c5688054e9d3e08af506d56b1a9c9f62f74398"),
+    "encode-decode-m17": (["encode-decode", "--n", "4", "--m-strings", "17"],
+                          True, False,
+        "c9db89a346f3ccab076805827201e255d1932dd0b29a160e365f3e02919a5db8"),
+    "encode-decode-nan": (["encode-decode", "--n", "4", "--threshold", "nan"],
+                          True, False,
+        "9fc2a2e76106518bc3bd744048b62983fee464fd824bf19746804ab5f8f72e07"),
+    "holographic-nan": (["holographic", "--n", "3", "--strings", "010",
+                         "--threshold", "nan"], True, True,
+        "9fc2a2e76106518bc3bd744048b62983fee464fd824bf19746804ab5f8f72e07"),
+}
+
+
+def golden_digest(tmp_path, capsys, argv, with_out, with_csv):
+    out_path, csv_path = tmp_path / "report", tmp_path / "table.csv"
+    argv = list(argv)
+    if with_out:
+        argv += ["--out", str(out_path)]
+    if with_csv:
+        argv += ["--csv", str(csv_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    files = [p.read_bytes() if p.exists() else None for p in (out_path, csv_path)]
+    blob = repr((code, captured.out, captured.err, *files)).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_bytes(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+    argv, with_out, with_csv, digest = GOLDEN[case]
+    assert golden_digest(tmp_path, capsys, argv, with_out, with_csv) == digest
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("pair", [["--i", "9"], ["--i", "0", "--b", "1"]])
+def test_randshift_rejects_reference_outside_ladder(capsys, pair):
+    code, out, err = run_cli(capsys, "randshift", "--n", "2", "--l", "1000", *pair)
+    assert code == 2 and out == ""
+    assert "noise bit index" in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_encode_decode_rejects_seeds_below_one(capsys, seeds):
+    code, out, err = run_cli(capsys, "encode-decode", "--n", "4", "--seeds", seeds)
+    assert code == 2 and out == ""
+    assert f"--seeds must be at least 1, got {seeds}" in err
+
+
+def test_noncommute_b_needs_i(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "noncommute", "--n", "1", "--l", "1000", "--b", "1")
+    assert code == 2 and out == ""
+    assert "--b needs --i" in err
+    out_path = tmp_path / "nc.json"
+    code, out, _ = run_cli(capsys, "noncommute", "--n", "2", "--l", "1000", "--i", "2",
+                           "--out", str(out_path))
+    assert code == 0
+    assert [(r["i"], r["b"]) for r in json.loads(out_path.read_text())["runs"]] == [(2, 0)]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
+    missing = tmp_path / "missing" / "file"
+    code, out, err = run_cli(capsys, "randshift", "--n", "1", "--l", "1000",
+                             flag, str(missing))
+    assert code == 2 and out == ""
+    assert "No such file or directory" in err

@@ -7,6 +7,7 @@ from noisebits.source import (
     MASK64,
     MAX_INDEX,
     NoiseSource,
+    as_source,
     mix64,
     sample_block,
     sign_bits,
@@ -102,3 +103,16 @@ def test_noise_source_wrapper():
         NoiseSource(-1)
     with pytest.raises(ValueError):
         NoiseSource(MASK64 + 1)
+
+
+@pytest.mark.parametrize("seed", [3.7, 3.0, True, "3"])
+def test_noise_source_rejects_non_integral_seed(seed):
+    with pytest.raises(TypeError):
+        NoiseSource(seed)
+    with pytest.raises(TypeError):
+        as_source(seed)
+
+
+def test_noise_source_accepts_numpy_integers():
+    src = NoiseSource(np.uint64(42))
+    assert type(src.seed) is int and src == NoiseSource(42)

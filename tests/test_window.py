@@ -211,3 +211,36 @@ def test_windows_are_immutable():
     s = materialize(42, superpose([Product((0,)), Product((1,))]), 0, 100)
     with pytest.raises(ValueError):
         s.ints[0] = 5
+
+
+def dumped(expr=Product((0, 3)), length=100) -> bytes:
+    buf = io.BytesIO()
+    dump_window(materialize(42, expr, 0, length), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("cut", [10, 33, 34, -1])
+def test_load_rejects_truncated_dump(cut):
+    # 10: inside the header; 33: header only; 34: inside the expression;
+    # -1: one byte short of the payload.
+    with pytest.raises(ValueError, match="truncated"):
+        load_window(io.BytesIO(dumped()[:cut]))
+
+
+def test_load_rejects_unknown_kind():
+    raw = bytearray(dumped())
+    raw[28] = 7
+    with pytest.raises(ValueError, match="kind 7"):
+        load_window(io.BytesIO(bytes(raw)))
+
+
+def test_load_rejects_trailing_bytes():
+    with pytest.raises(ValueError, match="trailing"):
+        load_window(io.BytesIO(dumped() + b"\0"))
+
+
+def test_load_rejects_empty_frame():
+    raw = bytearray(dumped())
+    raw[20:28] = (0).to_bytes(8, "little")
+    with pytest.raises(ValueError, match="out of range"):
+        load_window(io.BytesIO(bytes(raw)))
