@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -53,9 +54,99 @@ class Result(NamedTuple):
 
 
 def _csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header line, then one line per row; floats are written as %.6g."""
-    return "".join(",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row)
-                   + "\n" for row in (columns, *rows))
+    """A header line, then one line per row; floats are written as %.6g,
+    and a cell holding ``,`` or ``"`` is quoted as RFC 4180 asks."""
+    def cell(v) -> str:
+        text = f"{v:.6g}" if isinstance(v, float) else str(v)
+        if "," in text or '"' in text:
+            text = '"' + text.replace('"', '""') + '"'
+        return text
+    return "".join(",".join(map(cell, row)) + "\n" for row in (columns, *rows))
+
+
+_str = json.encoder.encode_basestring_ascii
+_WORDS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(v: float) -> str:
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text)
+
+
+#: Encoders of the exact scalar types a record may hold.
+_SCALARS = {str: _str, float: _float, int: int.__repr__,
+            bool: _WORDS.__getitem__, type(None): _WORDS.__getitem__}
+
+
+def _scalar(v) -> str | None:
+    """A scalar as ``json`` writes it, tested in ``json``'s type order;
+    None for anything else."""
+    if isinstance(v, str):
+        return _str(v)
+    if v is None or v is True or v is False:
+        return _WORDS[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float(v)
+    return None
+
+
+def _key(k) -> str:
+    text = k if isinstance(k, str) else _scalar(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _str(text)
+
+
+def _records(rows: list | tuple, nl: str) -> list[str] | None:
+    """The items of a list of two or more dicts that share one order of
+    str keys and hold only scalars of the types in ``_SCALARS``, each
+    written from one % template; None for any other list."""
+    first = rows[0]
+    if (len(rows) < 2 or set(map(type, rows)) != {dict} or set(map(type, first)) != {str}
+            or not set(map(type, first.values())) <= _SCALARS.keys()):
+        return None
+    keys = tuple(first)
+    if list(map(tuple, rows)).count(keys) != len(rows):
+        return None
+    cells = []
+    for column in zip(*map(dict.values, rows)):
+        types = set(map(type, column))
+        if not types <= _SCALARS.keys():
+            return None
+        encode = _SCALARS[types.pop()] if len(types) == 1 else _scalar
+        if encode is _float and math.isfinite(sum(column)):  # no NaN or infinity
+            encode = float.__repr__
+        cells.append(map(encode, column))
+    field = nl + "    "
+    template = ("{" + field + ("," + field).join(_str(k).replace("%", "%%") + ": %s"
+                                                  for k in keys) + nl + "  }")
+    return list(map(template.__mod__, zip(*cells)))
+
+
+def _json(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for every acyclic
+    value ``json`` writes without a ``default``; ``nl`` is the newline
+    and indent of the level ``obj`` sits at."""
+    text = _scalar(obj)
+    if text is not None:
+        return text
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = _records(obj, nl) or [
+            enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _key(k) + ": " + (enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner))
+            for k, v in obj.items()]) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _cmd_capacity(args: argparse.Namespace) -> Result:
@@ -148,8 +239,8 @@ def _emit(args: argparse.Namespace, result: Result) -> int:
     Files are written first, so a failed write leaves stdout empty."""
     body = result.body
     if body is None and (args.out or result.body_on_stdout):
-        body = json.dumps({"schema": SCHEMA_VERSION, "subcommand": args.command,
-                           **result.report}, indent=2) + "\n"
+        body = _json({"schema": SCHEMA_VERSION, "subcommand": args.command,
+                      **result.report}) + "\n"
     if args.out:
         Path(args.out).write_text(body)
     if result.table and args.csv:

@@ -125,7 +125,7 @@ def sample(source: NoiseSource | int, expr: StreamExpr, n: int) -> int:
 #           superpos = "S[" products "]"     products = "" | "P[0],P[1,2]"
 # ----------------------------------------------------------------------
 
-_PRODUCT_RE = re.compile(r"P\[[0-9,]*\]")
+_PRODUCT_RE = re.compile(r"P\[(?:[0-9]+(?:,[0-9]+)*)?\]")
 
 
 def canonical_str(expr: StreamExpr) -> str:
@@ -138,10 +138,9 @@ def canonical_str(expr: StreamExpr) -> str:
 
 def parse_expr(text: str) -> StreamExpr:
     text = text.strip()
-    if text.startswith("P[") and text.endswith("]"):
+    if _PRODUCT_RE.fullmatch(text):
         body = text[2:-1]
-        offsets = tuple(int(p) for p in body.split(",")) if body else ()
-        return Product(offsets)
+        return Product(tuple(int(p) for p in body.split(",")) if body else ())
     if text.startswith("S[") and text.endswith("]"):
         body = text[2:-1]
         parts = _PRODUCT_RE.findall(body)

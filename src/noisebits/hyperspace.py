@@ -22,6 +22,7 @@ histogram; raising it is an explicit opt-in.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -185,13 +186,35 @@ def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
             pattern |= flips[2 * i:2 * i + k].astype(np.intp) << i
         weight = signal[pos:pos + k].astype(np.int64)
         np.add.at(totals, pattern, np.where(base, weight, -weight))
-    for i in range(n):  # in-place butterflies: (lo, hi) -> (lo + hi, lo - hi)
+    walsh_hadamard(totals)
+    return totals / length
+
+
+def _butterflies(totals: np.ndarray, levels: range) -> None:
+    """In-place butterflies (lo, hi) -> (lo + hi, lo - hi) across bit i
+    of the index, for each i in ``levels``."""
+    for i in levels:
         pairs = totals.reshape(-1, 2, 1 << i)
         lo, hi = pairs[:, 0], pairs[:, 1]
         lo += hi
         hi *= -2
         hi += lo
-    return totals / length
+
+
+def walsh_hadamard(totals: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform of a 2**n int64 vector, in
+    place.  Butterflies across a low index bit would run on rows of 1, 2,
+    4... elements, so the high n - n//2 bits are done first, then the
+    index bits are swapped by a transpose, the former low bits are done
+    as high bits, and the transpose is undone.  The levels commute and
+    integer sums are exact, so the result equals the plain level order."""
+    n = totals.size.bit_length() - 1
+    low = n // 2
+    grid = totals.reshape(-1, 1 << low)  # [high bits, low bits]
+    _butterflies(totals, range(low, n))
+    swapped = np.ascontiguousarray(grid.T)
+    _butterflies(swapped.reshape(-1), range(n - low, n))
+    grid[...] = swapped.T
 
 
 def readout(signal_window: Window, sys: ReferenceSystem,
@@ -206,13 +229,17 @@ def readout(signal_window: Window, sys: ReferenceSystem,
     return rhos, detected
 
 
+@functools.cache
+def _candidate_labels(n_eff: int) -> tuple[str, ...]:
+    """``format_bits(int_to_bits(v, n_eff))`` for every v, in order."""
+    return tuple(format(v, f"0{n_eff}b")[::-1] for v in range(1 << n_eff))
+
+
 def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:
     """Append every candidate's rho to ``report`` when n_eff <= 10."""
     if n_eff <= 10:
-        report["correlations"] = [
-            {"candidate": format_bits(int_to_bits(v, n_eff)), "rho": float(r)}
-            for v, r in enumerate(rhos)
-        ]
+        report["correlations"] = [{"candidate": c, "rho": r} for c, r
+                                  in zip(_candidate_labels(n_eff), rhos.tolist())]
     return report
 
 

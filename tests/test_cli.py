@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -102,6 +103,17 @@ def test_holographic_explicit_strings(capsys):
     assert "decoded={1111}" in out
 
 
+def test_holographic_csv_quotes_multi_string_input(capsys, tmp_path):
+    csv_path = tmp_path / "holo.csv"
+    code, _, _ = run_cli(capsys, "holographic", "--n", "2", "--strings", "00,01",
+                         "--l", "4096", "--csv", str(csv_path))
+    assert code == 0
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
+    assert rows[0] == ["input", "candidate", "rho"]
+    assert len(rows) == 5
+    assert all(len(row) == 3 and row[0] == "00,01" for row in rows[1:])
+
+
 def test_noncommute_all_pairs(capsys, tmp_path):
     out_path = tmp_path / "nc.json"
     code, out, _ = run_cli(capsys, "noncommute", "--n", "2",
@@ -175,8 +187,10 @@ def test_non_finite_threshold_is_a_usage_error(capsys, command):
 
 # Pinned SHA-256 of repr((exit code, stdout, stderr, --out bytes, --csv bytes))
 # per invocation; a file that is not written shows as None.  The digests were
-# recorded before the CLI's output code was consolidated, so they hold every
-# byte the CLI writes to the earlier version, not just to a second run.
+# recorded before the CLI's output code was consolidated, and holographic-n10
+# (a 1024-row correlations table) before reports got their own JSON writer, so
+# they hold every byte the CLI writes to the earlier version, not just to a
+# second run.
 GOLDEN = {
     "capacity-m": (["capacity", "--n", "3", "--m", "6"], True, False,
         "4146f42cee5f42152a6aa28d2166badf7c42260a86c2d5d9068996753be0e016"),
@@ -204,6 +218,9 @@ GOLDEN = {
     "holographic-wide": (["holographic", "--n", "11", "--strings", "00000000000",
                           "--l", "4096"], True, True,
         "73877df646bc6637c06de63ed522352d5a39db16e3082b119625ba66b176ac6f"),
+    "holographic-n10": (["holographic", "--n", "5", "--k", "1", "--d", "2", "--strings",
+                         "0110100101,1110001000,0001011110", "--l", "4096"], True, False,
+        "c13b6d6a3eb7e48864597c8fe66c5061aa1eb6a523c7b194e73d96756bc6c3b6"),
     "holographic-fail": (["holographic", "--n", "3", "--strings", "000",
                           "--threshold", "2", "--l", "4096"], True, True,
         "eb48a0cea695e695cbc29d1de2c5310dbaa6de8f809182331b58dd928f64b90d"),

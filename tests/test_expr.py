@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -158,3 +159,9 @@ def test_parse_rejects_garbage():
     for text in ("", "Q[1]", "P[1,]", "S[P[0]", "S[x]"):
         with pytest.raises(ValueError):
             parse_expr(text)
+
+
+@pytest.mark.parametrize("text", ["P[1,,2]", "P[,1]", "P[1_0]", "S[P[0],P[1,,2]]"])
+def test_parse_names_malformed_offsets(text):
+    with pytest.raises(ValueError, match=re.escape(f"malformed expression: {text!r}")):
+        parse_expr(text)

@@ -2,10 +2,12 @@
 
 The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
-``sample`` oracle built on ``source_sample``.  Examples are drawn
-deterministically, so the suite stays reproducible.
+``sample`` oracle built on ``source_sample``.  The report writer must
+equal ``json.dumps(indent=2)``.  Examples are drawn deterministically,
+so the suite stays reproducible.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisebits.window as window_module
+from noisebits.cli import _json, _records
 from noisebits.expr import Product, Superposition, sample
 from noisebits.hyperspace import (
+    add_correlations,
     correlation_sweep,
     encode_integer,
     encode_set,
     encode_string,
+    format_bits,
     int_to_bits,
+    walsh_hadamard,
 )
 from noisebits.reference import build_reference_system
 from noisebits.source import BLOCK, NoiseSource, sign_bits, source_sample
@@ -146,3 +152,92 @@ def test_sparse_product_hashes_only_its_factor_runs(hashed_runs):
 def test_overlapping_factors_share_one_hash_run(hashed_runs):
     materialize(7, Superposition((Product((0, 3)), Product((7, 1000)))), 5, 100)
     assert hashed_runs == [(5, 107), (1005, 100)]
+
+
+def plain_butterflies(totals):
+    """Reference transform: one in-place butterfly level per index bit,
+    lowest bit first."""
+    for i in range(totals.size.bit_length() - 1):
+        pairs = totals.reshape(-1, 2, 1 << i)
+        lo, hi = pairs[:, 0].copy(), pairs[:, 1].copy()
+        pairs[:, 0], pairs[:, 1] = lo + hi, lo - hi
+
+
+@PROPERTY
+@given(n_eff=st.integers(0, 14), seed=st.integers(0, 2**32 - 1))
+def test_walsh_hadamard_equals_plain_butterflies(n_eff, seed):
+    totals = np.random.default_rng(seed).integers(-2**40, 2**40, 1 << n_eff)
+    want = totals.copy()
+    plain_butterflies(want)
+    walsh_hadamard(totals)
+    assert np.array_equal(totals, want)
+
+
+@pytest.mark.parametrize("n_eff", range(1, 12))
+def test_add_correlations_labels_and_rhos(n_eff):
+    rhos = np.random.default_rng(n_eff).standard_normal(1 << n_eff) / 7
+    report = add_correlations({"k": 0}, rhos, n_eff)
+    if n_eff > 10:
+        assert report == {"k": 0}
+        return
+    want = [{"candidate": format_bits(int_to_bits(v, n_eff)), "rho": float(r)}
+            for v, r in enumerate(rhos)]
+    assert report["correlations"] == want
+    assert all(type(c["rho"]) is float for c in report["correlations"])
+
+
+# Report-shaped values for the JSON writer: keys that need escaping (and a
+# "%" for the record template), non-ASCII text, every float json spells out.
+keys = st.one_of(st.sampled_from(["rho", "%s", "100%", '"q"', "tab\t", "é", "\u2028"]),
+                 st.text(max_size=4))
+floats = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"),
+                                                 -float("inf"), -0.0, 1e16, 5e-324]))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+                    floats, floats.map(np.float64), st.text(max_size=6))
+
+
+@st.composite
+def records(draw, children):
+    """A list of flat rows with one key order, optionally spoiled by one row
+    with other keys, another key order or a nested value."""
+    names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(*[scalars] * len(names)).map(
+        lambda values: dict(zip(names, values))), min_size=2, max_size=5))
+    spoil = draw(st.sampled_from(["none", "keys", "order", "nested"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if spoil == "keys":
+        row[draw(keys)] = draw(scalars)
+    elif spoil == "order" and len(names) > 1:
+        row[names[0]] = row.pop(names[0])
+    elif spoil == "nested":
+        row[names[-1]] = draw(children)
+    return rows
+
+
+reports = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(keys, scalars.filter(lambda k: not isinstance(k, str))),
+                        children, max_size=4),
+        records(children)),
+    max_leaves=25)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(obj=reports)
+def test_json_writer_equals_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, indent=2)
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(st.text(max_size=6), floats, scalars).map(
+    lambda row: dict(zip(("candidate", "rho", "%d"), row))), min_size=2, max_size=8))
+def test_flat_records_take_the_template(rows):
+    """Flat rows of exact scalar types are written from the template, and
+    the result is still json.dumps's."""
+    if all(type(v) in (str, float, int, bool, type(None))
+           for row in rows for v in row.values()):
+        assert _records(rows, "\n") is not None
+    assert _json({"correlations": rows}) == json.dumps({"correlations": rows}, indent=2)

@@ -239,6 +239,14 @@ def test_load_rejects_trailing_bytes():
         load_window(io.BytesIO(dumped() + b"\0"))
 
 
+def test_load_rejects_malformed_expression():
+    raw = dumped()
+    elen = int.from_bytes(raw[29:33], "little")
+    bad = raw[:29] + (7).to_bytes(4, "little") + b"P[1,,2]" + raw[33 + elen:]
+    with pytest.raises(ValueError, match=r"malformed expression: 'P\[1,,2\]'"):
+        load_window(io.BytesIO(bad))
+
+
 def test_load_rejects_empty_frame():
     raw = bytearray(dumped())
     raw[20:28] = (0).to_bytes(8, "little")
