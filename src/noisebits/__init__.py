@@ -56,9 +56,7 @@ from .reference import (
     ReferenceSystem,
     build_reference_system,
     capacity,
-    orthogonality_csv,
     orthogonality_matrix,
-    reference_noise,
 )
 from .source import DEFAULT_SEED, MAX_INDEX, NoiseSource, mix64, sample_block, source_sample
 from .window import (

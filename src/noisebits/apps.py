@@ -68,7 +68,7 @@ def holographic_map(bits: Sequence[int], steps: int = 1) -> BitString | OutOfRan
 
 
 def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
-                     d: int, length: int | None = None, start: int = 0,
+                     d: int, length: int | None = None,
                      threshold: float = DEFAULT_THRESHOLD,
                      max_n: int = DEFAULT_MAX_N) -> dict:
     """Shift an encoded set by d periods and decode it against the
@@ -77,7 +77,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     if length is None:
         length = default_window_len(len(checked))
     signal = encode_set(sys, checked)
-    window = materialize(sys.source, shift(signal, d), start, length)
+    window = materialize(sys.source, shift(signal, d), 0, length)
     rhos, decoded = readout(window, sys, threshold, max_n)
 
     expected: set[BitString] = set()
@@ -105,7 +105,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
 
 
 def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
-                    length: int, start: int = 0) -> dict:
+                    length: int) -> dict:
     """Compare multiply-then-shift against shift-then-multiply.
 
     A = multiply by reference (i, b); B = shift by d.  The two orders
@@ -118,7 +118,7 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     ref = sys.reference_noise(i, b)
     ab = multiply(shift(x, d), ref)        # A after B
     ba = shift(multiply(x, ref), d)        # B after A
-    w_ab, w_ba = materialize_many(sys.source, (ab, ba), start, length)
+    w_ab, w_ba = materialize_many(sys.source, (ab, ba), 0, length)
     cross = correlate(w_ab, w_ba)
     tolerance = 5.0 * cross.sigma
     self_ab = correlate(w_ab, w_ab).rho
@@ -185,7 +185,7 @@ class ShiftAssignment:
 
 
 def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
-                      i: int, b: int, length: int, start: int = 0,
+                      i: int, b: int, length: int,
                       global_shift: int | None = None) -> dict:
     """Hide reference (i, b) behind its assigned shift and try to read it.
 
@@ -199,7 +199,7 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     hidden = shift(ref, r)
     compensated_expr = shift(ref, r)
     w_hidden, w_ref, w_compensated = materialize_many(
-        sys.source, (hidden, ref, compensated_expr), start, length)
+        sys.source, (hidden, ref, compensated_expr), 0, length)
     uncompensated = correlate(w_hidden, w_ref)
     compensated = correlate(w_hidden, w_compensated)
 

@@ -36,7 +36,7 @@ from .hyperspace import (
     parse_bits,
     round_trip_run,
 )
-from .reference import build_reference_system, capacity, orthogonality_csv, orthogonality_matrix
+from .reference import build_reference_system, capacity, orthogonality_matrix
 from .source import DEFAULT_SEED
 
 SCHEMA_VERSION = 1
@@ -158,15 +158,16 @@ def _cmd_capacity(args: argparse.Namespace) -> Result:
 
 def _cmd_ortho(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
-    matrix = orthogonality_matrix(sys_, args.l, args.start)
-    max_offdiag = max(abs(est.rho) for i, row in enumerate(matrix)
-                      for j, est in enumerate(row) if i != j)
+    labels = sys_.labels()
+    rows = [[est.rho for est in row] for row in orthogonality_matrix(sys_, args.l, args.start)]
+    max_offdiag = max(abs(rho) for i, row in enumerate(rows)
+                      for j, rho in enumerate(row) if i != j)
     return Result({"seed": sys_.seed, "N": args.n, "k": args.k, "L": args.l,
-                   "start": args.start, "labels": sys_.labels(),
-                   "rho": [[est.rho for est in row] for row in matrix],
+                   "start": args.start, "labels": labels, "rho": rows,
                    "max_offdiag_abs": max_offdiag},
                   [f"max_offdiag_abs={max_offdiag:.6g}"], body_on_stdout=True,
-                  body=orthogonality_csv(sys_, matrix) if args.format == "csv" else None)
+                  body=_csv(("", *labels), ([lab, *row] for lab, row in zip(labels, rows)))
+                  if args.format == "csv" else None)
 
 
 def _cmd_encode_decode(args: argparse.Namespace) -> Result:

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from .source import NoiseSource, as_source
+from .source import NoiseSource, as_source, sample_block
 
 
 class DelayLineRegister:
@@ -37,7 +37,7 @@ class DelayLineRegister:
         Returns an int8 array of shape (depth + 1, length); row d holds
         the output at shift offset d.
         """
-        feed = self.source.sample_block(start, length + self.depth)
+        feed = sample_block(self.source.seed, start, length + self.depth)
         stages: deque[int] = deque(maxlen=self.depth or None)
         pos = 0
         if self.depth:

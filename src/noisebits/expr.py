@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .source import NoiseSource, as_source
+from .source import NoiseSource, as_source, source_sample
 
 #: Shift offsets are plain ints counted in wave periods.
 ShiftOffset = int
@@ -45,9 +45,6 @@ class Product:
             if o > MAX_OFFSET:
                 raise OverflowError(f"offset {o} exceeds the supported range (2**48)")
         object.__setattr__(self, "offsets", kept)
-
-    def is_one(self) -> bool:
-        return not self.offsets
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def sample(source: NoiseSource | int, expr: StreamExpr, n: int) -> int:
     if isinstance(expr, Product):
         v = 1
         for o in expr.offsets:
-            v *= src.sample(n + o)
+            v *= source_sample(src.seed, n + o)
         return v
     if isinstance(expr, Superposition):
         return sum(sample(src, m, n) for m in expr.members)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expr import Product, Superposition, member_count, superpose
+from .expr import Product, Superposition, canonical_str, member_count, superpose
 from .reference import ReferenceSystem, build_reference_system
 from .source import BLOCK, sign_bits
 from .window import Window, correlate, materialize
@@ -107,8 +107,7 @@ def encode_set(sys: ReferenceSystem, strings: Iterable[Sequence[int]]) -> Superp
     """Superposition of the carriers of a set of strings; empty set is
     the zero signal.  Members are stored sorted for reproducibility;
     duplicate strings are rejected."""
-    checked = [check_bits(s, sys.n_eff) for s in strings]
-    carriers = sorted((encode_string(sys, s) for s in checked),
+    carriers = sorted((encode_string(sys, s) for s in strings),
                       key=lambda p: p.offsets)
     return superpose(carriers)
 
@@ -170,6 +169,10 @@ def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
             f"capacity exceeded: raise max_n explicitly (n_eff={n}, max_n={max_n})"
         )
     _check_same_source(signal_window, sys)
+    expr = signal_window.expr
+    for m in () if expr is None else getattr(expr, "members", (expr,)):
+        if len(m.offsets) != n:
+            raise ValueError(f"wire member {canonical_str(m)} is not a {n}-bit string carrier")
     start, length = signal_window.start, signal_window.length
     # Reference (i, b) is the frame at offset 2i + b (i from 0 here).
     frame = sign_bits(sys.seed, start, length + 2 * n - 1)
@@ -273,7 +276,7 @@ def decode_report(signal_window: Window, sys: ReferenceSystem,
 def round_trip_run(seed: int, n_bits: int, m_strings: int,
                    length: int | None = None,
                    threshold: float = DEFAULT_THRESHOLD,
-                   max_n: int = DEFAULT_MAX_N, start: int = 0,
+                   max_n: int = DEFAULT_MAX_N,
                    extra_shift_rounds: int = 0) -> dict:
     """Encode m random strings, decode them back, and score the result.
 
@@ -290,10 +293,10 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
     population = rng.sample(range(1 << sys.n_eff), m_strings)
     strings = {int_to_bits(v, sys.n_eff) for v in population}
     signal = encode_set(sys, strings)
-    window = materialize(sys.source, signal, start, length)
+    window = materialize(sys.source, signal, 0, length)
     rhos, decoded = readout(window, sys, threshold, max_n)
 
-    member_idx = sorted(bits_to_int(s) for s in strings)
+    member_idx = sorted(population)
     member_rhos = [float(rhos[v]) for v in member_idx]
     mask = np.ones(rhos.size, dtype=bool)
     mask[member_idx] = False

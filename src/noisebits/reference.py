@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .expr import Product
 from .source import NoiseSource, as_source
-from .window import CorrelationEstimate, Window, correlate, materialize, materialize_many
+from .window import CorrelationEstimate, correlate, materialize_many
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,6 @@ class ReferenceSystem:
     def labels(self) -> list[str]:
         return [f"V_{i}_{b}" for i in range(1, self.n_eff + 1) for b in (0, 1)]
 
-    def window(self, expr, start: int, length: int) -> Window:
-        return materialize(self.source, expr, start, length)
-
     def _check_ref(self, i: int, b: int) -> None:
         if not 1 <= i <= self.n_eff:
             raise ValueError(f"noise bit index {i} outside 1..{self.n_eff}")
@@ -84,10 +81,6 @@ class ReferenceSystem:
 def build_reference_system(source: NoiseSource | int, n_bits: int,
                            extra_shift_rounds: int = 0) -> ReferenceSystem:
     return ReferenceSystem(as_source(source), n_bits, extra_shift_rounds)
-
-
-def reference_noise(sys: ReferenceSystem, i: int, b: int) -> Product:
-    return sys.reference_noise(i, b)
 
 
 def orthogonality_matrix(sys: ReferenceSystem, length: int,
@@ -106,16 +99,6 @@ def orthogonality_matrix(sys: ReferenceSystem, length: int,
             matrix[i][j] = est
             matrix[j][i] = est
     return matrix  # type: ignore[return-value]
-
-
-def orthogonality_csv(sys: ReferenceSystem,
-                      matrix: list[list[CorrelationEstimate]]) -> str:
-    """CSV rendering: V_i_b labels, cells with 6 significant digits."""
-    labels = sys.labels()
-    lines = ["," + ",".join(labels)]
-    for label, row in zip(labels, matrix):
-        lines.append(label + "," + ",".join(f"{est.rho:.6g}" for est in row))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

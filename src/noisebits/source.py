@@ -122,12 +122,6 @@ class NoiseSource:
         if not 0 <= self.seed <= MASK64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
 
-    def sample(self, n: int) -> int:
-        return source_sample(self.seed, n)
-
-    def sample_block(self, start: int, length: int) -> np.ndarray:
-        return sample_block(self.seed, start, length)
-
 
 def as_source(source: NoiseSource | int) -> NoiseSource:
     """Accept either a NoiseSource or a bare seed."""

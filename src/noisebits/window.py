@@ -74,10 +74,6 @@ class Window:
                 samples.setflags(write=False)
 
     @property
-    def is_packed(self) -> bool:
-        return self.words is not None
-
-    @property
     def values(self) -> np.ndarray:
         """Samples as a signed array: int8 +-1 when packed, else int32."""
         if self.words is not None:
@@ -142,10 +138,8 @@ def _product_bits(frame: dict[int, np.ndarray], offsets: tuple[int, ...],
 
 def product_words(source: NoiseSource | int, offsets: tuple[int, ...],
                   start: int, length: int) -> np.ndarray:
-    """Packed +-1 window of a product stream (bit 1 encodes +1), folded
-    from one frame of sign bits (see :func:`_frame`) and packed once."""
-    frame = _frame(as_source(source).seed, offsets, start, length)
-    return pack_bits(_product_bits(frame, offsets, np.empty(length, dtype=np.uint8)))
+    """Packed +-1 window of a product stream (bit 1 encodes +1)."""
+    return materialize(source, Product(offsets), start, length).words
 
 
 def materialize(source: NoiseSource | int, expr: StreamExpr,
@@ -160,7 +154,7 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
     """:func:`materialize` for several expressions over one shared frame,
     built ``_FOLD_BLOCK`` samples at a time: products are folded from the
     block's frame slices and packed into their words, superpositions sum
-    their members' folds."""
+    their members' folds.  Equal expressions share one Window."""
     src = as_source(source)
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
@@ -169,6 +163,7 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
     for expr in exprs:
         if not isinstance(expr, (Product, Superposition)):
             raise TypeError(f"not a stream expression: {expr!r}")
+    requested, exprs = exprs, list(dict.fromkeys(exprs))
     offsets = {o for e in exprs for m in getattr(e, "members", (e,)) for o in m.offsets}
     if start + length + max(offsets, default=0) > MAX_INDEX:
         raise OverflowError("window reaches past the supported sample index range")
@@ -189,13 +184,16 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
                 signed += _product_bits(frame, m.offsets, bits[:k])
             signed *= 2
             signed -= len(expr.members)
-    return [Window(start, length, src.seed, e, words=out) if isinstance(e, Product)
-            else Window(start, length, src.seed, e, ints=out)
-            for e, out in zip(exprs, samples)]
+    windows = {e: Window(start, length, src.seed, e, words=out) if isinstance(e, Product)
+               else Window(start, length, src.seed, e, ints=out)
+               for e, out in zip(exprs, samples)}
+    return [windows[e] for e in requested]
 
 
 def correlate(a: Window, b: Window) -> CorrelationEstimate:
-    """Mean per-sample product of two windows sharing the same frame."""
+    """Mean per-sample product of two windows of one seed and frame."""
+    if a.seed != b.seed:
+        raise ValueError(f"windows come from different source seeds: {a.seed} vs {b.seed}")
     if not a.same_frame(b):
         raise ValueError(
             f"window frames differ: [{a.start}, +{a.length}) vs [{b.start}, +{b.length})"

@@ -12,7 +12,7 @@ from noisebits.apps import (
 )
 from noisebits.expr import Product, multiply, shift
 from noisebits.hyperspace import encode_string, int_to_bits
-from noisebits.reference import build_reference_system, reference_noise
+from noisebits.reference import build_reference_system
 
 
 def oracle_map(bits, steps):
@@ -97,8 +97,8 @@ def test_holographic_demo_out_of_range_member_vanishes():
 
 def test_noncommute_multiply_multiply_commutes():
     sys = build_reference_system(42, 2)
-    a = reference_noise(sys, 1, 0)
-    b = reference_noise(sys, 2, 1)
+    a = sys.reference_noise(1, 0)
+    b = sys.reference_noise(2, 1)
     x = Product((1,))
     assert multiply(multiply(x, a), b) == multiply(multiply(x, b), a)
 
@@ -126,7 +126,7 @@ def test_noncommute_structural_inequality_is_universal():
         i = rng.randrange(1, 5)
         b = rng.randrange(2)
         d = rng.randrange(1, 6)
-        ref = reference_noise(sys, i, b)
+        ref = sys.reference_noise(i, b)
         ab = multiply(shift(x, d), ref)
         ba = shift(multiply(x, ref), d)
         assert ab != ba

@@ -22,7 +22,7 @@ from noisebits.hyperspace import (
     round_trip_run,
 )
 from noisebits.reference import build_reference_system
-from noisebits.window import correlate, materialize
+from noisebits.window import correlate, materialize, negate
 
 # One of the pinned round-trip seeds; margins were verified when frozen.
 GOOD_SEED = 4000
@@ -94,6 +94,14 @@ def test_encode_set_rejects_duplicates():
     sys = build_reference_system(42, 4)
     with pytest.raises(ValueError):
         encode_set(sys, [(0, 0, 0, 0), (0, 0, 0, 0)])
+
+
+def test_encode_set_error_messages():
+    sys = build_reference_system(42, 4)
+    with pytest.raises(ValueError, match="bit values must be 0 or 1"):
+        encode_set(sys, [(0, 0, 0, 0), (0, 2, 0, 0)])
+    with pytest.raises(ValueError, match="expected 4 bits, got 3"):
+        encode_set(sys, [(0, 0, 0)])
 
 
 def test_encode_set_amplitude_bound():
@@ -176,6 +184,19 @@ def test_decode_rejects_foreign_source():
         decode_superposition(w, sys)
     with pytest.raises(ValueError, match="seed"):
         detect_string(w, sys, (0, 1, 0, 1))
+
+
+def test_decode_rejects_wire_of_another_width():
+    wide = build_reference_system(42, 5)
+    sys = build_reference_system(42, 4)
+    w = materialize(wide.source, encode_set(wide, [(0, 1, 0, 1, 1)]), 0, 1000)
+    with pytest.raises(ValueError, match=r"P\[0,3,4,7,9\] is not a 4-bit string carrier"):
+        decode_superposition(w, sys)
+    packed = materialize(sys.source, Product((0, 2, 4)), 0, 1000)
+    with pytest.raises(ValueError, match="not a 4-bit"):
+        decode_superposition(packed, sys)
+    # without provenance the width is unknown and the sweep runs
+    assert decode_superposition(negate(packed), sys) == set()
 
 
 def test_decode_capacity_cap():

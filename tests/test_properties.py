@@ -29,7 +29,7 @@ from noisebits.hyperspace import (
     walsh_hadamard,
 )
 from noisebits.reference import build_reference_system
-from noisebits.source import BLOCK, NoiseSource, sign_bits, source_sample
+from noisebits.source import BLOCK, NoiseSource, sample_block, sign_bits, source_sample
 from noisebits.window import correlate, materialize, negate, product_words, unpack_bits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -50,7 +50,7 @@ def test_sweep_equals_per_candidate_correlate(seed, n_eff, start, length, data,
     strings = [int_to_bits(v, n_eff) for v in values]
     expr = encode_string(sys, strings[0]) if packed else encode_set(sys, strings)
     wire = materialize(sys.source, expr, start, length)
-    assert wire.is_packed == packed
+    assert (wire.words is not None) == packed
     if negated:
         wire = negate(wire)
     rhos = correlation_sweep(wire, sys)
@@ -107,15 +107,19 @@ def test_materialize_matches_scalar_oracle(seed, start, length, members):
 
 
 def test_blocked_materialize_matches_whole_window_folds():
-    """Windows longer than one fold block equal the whole-window fold of
-    ``product_words``, for products and for superpositions."""
+    """Windows longer than one fold block equal the whole-window product
+    of their factors' ``sample_block`` runs, for products (through
+    ``materialize`` and ``product_words``) and for superpositions."""
     src, start, length = NoiseSource(11), 99, 2 * window_module._FOLD_BLOCK + 100
     members = (Product((0, 3, 9)), Product((2, 2**40)), Product((1, 4)))
     signed = []
     for m in members:
+        want = np.prod([sample_block(src.seed, start + o, length) for o in m.offsets],
+                       axis=0, dtype=np.int32)
+        assert np.array_equal(materialize(src, m, start, length).values, want)
         words = product_words(src, m.offsets, start, length)
-        assert np.array_equal(materialize(src, m, start, length).words, words)
-        signed.append(2 * unpack_bits(words, length).astype(np.int32) - 1)
+        assert np.array_equal(unpack_bits(words, length), want > 0)
+        signed.append(want)
     got = materialize(src, Superposition(members), start, length).ints
     assert np.array_equal(got, np.sum(signed, axis=0))
 

@@ -3,19 +3,14 @@ import random
 import pytest
 
 from noisebits.expr import Product
-from noisebits.reference import (
-    build_reference_system,
-    capacity,
-    orthogonality_csv,
-    orthogonality_matrix,
-    reference_noise,
-)
+from noisebits.cli import main
+from noisebits.reference import build_reference_system, capacity, orthogonality_matrix
 
 
 def test_single_bit_system_matches_base_pair():
     sys = build_reference_system(42, 1)
-    assert reference_noise(sys, 1, 0) == Product((0,))   # the source itself
-    assert reference_noise(sys, 1, 1) == Product((1,))   # one period ahead
+    assert sys.reference_noise(1, 0) == Product((0,))   # the source itself
+    assert sys.reference_noise(1, 1) == Product((1,))   # one period ahead
 
 
 def test_three_bit_offsets():
@@ -54,15 +49,15 @@ def test_offsets_injective_and_contiguous():
 
 def test_reference_examples():
     sys = build_reference_system(42, 2)
-    assert reference_noise(sys, 1, 0) == Product((0,))
-    assert reference_noise(sys, 2, 1) == Product((3,))
+    assert sys.reference_noise(1, 0) == Product((0,))
+    assert sys.reference_noise(2, 1) == Product((3,))
 
 
 def test_reference_range_checks():
     sys = build_reference_system(42, 2)
     for i, b in ((0, 0), (3, 0), (1, 2), (1, -1)):
         with pytest.raises(ValueError):
-            reference_noise(sys, i, b)
+            sys.reference_noise(i, b)
 
 
 def test_system_validation():
@@ -87,9 +82,10 @@ def test_pairwise_orthogonality_bound():
 
 def test_reference_pair_correlation_at_scale():
     sys = build_reference_system(42, 2)
-    a = sys.window(reference_noise(sys, 1, 1), 0, 10**6)
-    b = sys.window(reference_noise(sys, 2, 0), 0, 10**6)
-    from noisebits.window import correlate
+    from noisebits.window import correlate, materialize
+
+    a = materialize(sys.source, sys.reference_noise(1, 1), 0, 10**6)
+    b = materialize(sys.source, sys.reference_noise(2, 0), 0, 10**6)
 
     assert abs(correlate(a, b).rho) <= 5e-3
 
@@ -108,11 +104,9 @@ def test_distinct_random_offsets_stay_orthogonal():
         assert abs(correlate(wa, wb).rho) <= bound, (a, b)
 
 
-def test_orthogonality_csv_format():
-    sys = build_reference_system(42, 2)
-    matrix = orthogonality_matrix(sys, 4096)
-    text = orthogonality_csv(sys, matrix)
-    lines = text.splitlines()
+def test_orthogonality_csv_format(capsys):
+    assert main(["ortho", "--n", "2", "--l", "4096", "--seed", "42"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",V_1_0,V_1_1,V_2_0,V_2_1"
     assert len(lines) == 5
     first = lines[1].split(",")

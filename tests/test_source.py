@@ -96,9 +96,6 @@ def test_index_guards():
 
 
 def test_noise_source_wrapper():
-    src = NoiseSource(42)
-    assert src.sample(3) == source_sample(42, 3)
-    assert np.array_equal(src.sample_block(5, 16), sample_block(42, 5, 16))
     with pytest.raises(ValueError):
         NoiseSource(-1)
     with pytest.raises(ValueError):

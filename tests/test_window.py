@@ -12,6 +12,7 @@ from noisebits.window import (
     dump_window,
     load_window,
     materialize,
+    materialize_many,
     negate,
 )
 
@@ -97,6 +98,22 @@ def test_correlate_requires_matching_frames():
         correlate(a, b)
     with pytest.raises(ValueError):
         correlate(a, c)
+
+
+def test_correlate_rejects_windows_of_different_seeds():
+    a = materialize(1, Product((0,)), 0, 1000)
+    b = materialize(2, Product((0,)), 0, 1000)
+    with pytest.raises(ValueError, match="seeds: 1 vs 2"):
+        correlate(a, b)
+    with pytest.raises(ValueError, match="seeds: 2 vs 1"):
+        correlate(b, negate(a))
+
+
+def test_materialize_many_shares_equal_windows():
+    ws = materialize_many(42, (Product((3,)), Product((0,)), Product((3,))), 0, 1000)
+    assert ws[0] is ws[2]
+    assert ws[0] is not ws[1]
+    assert np.array_equal(ws[0].words, materialize(42, Product((3,)), 0, 1000).words)
 
 
 def test_materialize_guards():
