@@ -14,7 +14,6 @@ from .apps import (
     noncommute_demo,
     random_shift_demo,
 )
-from .delayline import DelayLineRegister, delay_line_reference_values
 from .expr import (
     CONST_ONE,
     MAX_OFFSET,

@@ -22,14 +22,16 @@ from .hyperspace import (
     DEFAULT_THRESHOLD,
     BitString,
     add_correlations,
+    bits_to_int,
+    carrier_set_readout,
     check_bits,
     default_window_len,
     encode_set,
     format_bits,
-    readout,
+    format_value,
 )
 from .reference import ReferenceSystem
-from .window import correlate, materialize, materialize_many
+from .window import correlate, materialize_many
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,18 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     checked = [check_bits(s, sys.n_eff) for s in strings]
     if length is None:
         length = default_window_len(len(checked))
-    signal = encode_set(sys, checked)
-    window = materialize(sys.source, shift(signal, d), 0, length)
-    rhos, decoded = readout(window, sys, threshold, max_n)
+    rhos, hits = carrier_set_readout(sys, [bits_to_int(s) for s in checked], length, d,
+                                     threshold, max_n, shift(encode_set(sys, checked), d))
+    decoded = {format_value(v, sys.n_eff) for v in hits}
 
-    expected: set[BitString] = set()
+    expected: set[str] = set()
     out_of_range: list[dict] = []
     for s in checked:
         image = holographic_map(s, d)
         if isinstance(image, OutOfRange):
             out_of_range.append({"string": format_bits(s), "reason": image.reason})
         else:
-            expected.add(image)
+            expected.add(format_bits(image))
 
     return add_correlations({
         "seed": sys.seed,
@@ -97,8 +99,8 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
         "L": length,
         "threshold": threshold,
         "input": sorted(format_bits(s) for s in checked),
-        "expected": sorted(format_bits(s) for s in expected),
-        "decoded": sorted(format_bits(s) for s in decoded),
+        "expected": sorted(expected),
+        "decoded": sorted(decoded),
         "out_of_range": out_of_range,
         "ok": decoded == expected,
     }, rhos, sys.n_eff)

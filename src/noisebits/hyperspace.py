@@ -7,17 +7,17 @@ of its carriers.  Readout correlates the wire window against candidate
 carriers: members average near 1, non-members near 0, and a threshold
 midway between the two expectations decides membership.
 
-The sweep scores all 2**n_eff candidates at once.  With
-base = prod_i V_i_0 and the flip factor f_i = V_i_0 * V_i_1, candidate
-c is base * prod_{i in c} f_i, so its correlation total is the
-Walsh-Hadamard transform, at c, of the histogram of wire * base over
-the per-sample flip patterns.  The sweep hashes one frame of
-L + 2*n_eff - 1 samples, bins the L weights into 2**n_eff int64 totals
-(``source.BLOCK`` samples at a time, so its temporaries stay small
-whatever L) and runs n_eff in-place butterfly passes (Fino & Algazi,
-1976): cost O(L + n_eff * 2**n_eff), exact in integer arithmetic until
-one division by L.  The cap ``max_n`` bounds the 2**n_eff * 8-byte
-histogram; raising it is an explicit opt-in.
+With base = prod_i V_i_0 and flips f_i = V_i_0 * V_i_1, carrier c is
+base * prod_{i in c} f_i.  A readout op hashes one ladder frame of
+L + 2*n_eff - 1 (+ d) samples and derives every sample's base and flip
+pattern from it.  The sweep bins wire * base by pattern into 2**n_eff
+int64 totals, ``source.BLOCK`` samples at a time; their Walsh-Hadamard
+transform (Fino & Algazi, 1976) is every candidate's total, exact until
+one division by L, in O(L + n_eff * 2**n_eff).  Run backwards, the
+identity gives a set S's wire, base * W_S[pattern] with W_S the
+transform of S's indicator: used when n_eff * 2**n_eff < m * L, else
+each carrier is XOR-folded from the frame, to the same int32 samples.
+``max_n`` caps the 2**n_eff * 8-byte histogram unless raised explicitly.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .expr import Product, Superposition, canonical_str, member_count, superpose
+from .expr import Product, StreamExpr, Superposition, canonical_str, member_count, superpose
 from .reference import ReferenceSystem, build_reference_system
 from .source import BLOCK, sign_bits
-from .window import Window, correlate, materialize
+from .window import Window, correlate, materialize, superposition_ints
 
 #: Classical bit strings are plain tuples of 0/1 ints.
 BitString = tuple[int, ...]
@@ -158,11 +158,48 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
                            present=est.rho > threshold, sigma_bound=bound)
 
 
-def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
-                      max_n: int = DEFAULT_MAX_N) -> np.ndarray:
-    """rho against every candidate carrier, indexed by the candidate's
-    integer value (least significant bit on noise bit 1).  One int64
-    Walsh-Hadamard transform; see the module docstring."""
+class LadderFrame(NamedTuple):
+    """Sign ``bits`` of [start, start + length + 2*n_eff - 1 + d) and, for its first length + d
+    samples, ``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1)."""
+
+    seed: int
+    start: int
+    length: int
+    n_eff: int
+    d: int
+    bits: np.ndarray
+    base: np.ndarray
+    pattern: np.ndarray
+
+
+def ladder_frame(seed: int, n_eff: int, start: int, length: int, d: int = 0) -> LadderFrame:
+    """Hash the frame once; derive base and pattern BLOCK samples at a time."""
+    if length < 1:
+        raise ValueError(f"window length must be at least 1, got {length}")
+    if d < 0:
+        raise ValueError(f"frame shift d must be non-negative, got {d}")
+    span = length + d
+    bits = sign_bits(seed, start, span + 2 * n_eff - 1)
+    base = np.empty(span, dtype=np.int8)
+    pattern = np.zeros(span, dtype=np.uint16 if n_eff <= 16 else np.uint64)
+    for pos in range(0, span, BLOCK):
+        sub = bits[pos:pos + BLOCK + 2 * n_eff - 1]
+        k = sub.size - 2 * n_eff + 1
+        flips = (sub[:-1] ^ sub[1:]).astype(pattern.dtype)
+        sign = np.full(k, n_eff % 2 == 0, dtype=np.uint8)  # bit 1 encodes +1
+        for i in range(n_eff):  # V_i_b is sub[t + 2i + b], i from 0 here
+            sign ^= sub[2 * i:2 * i + k]
+            pattern[pos:pos + k] |= flips[2 * i:2 * i + k] << i
+        np.subtract(sign << 1, 1, out=base[pos:pos + k], casting="unsafe")
+    for samples in (bits, base, pattern):
+        samples.setflags(write=False)
+    return LadderFrame(seed, start, length, n_eff, d, bits, base, pattern)
+
+
+def correlation_sweep(signal_window: Window, sys: ReferenceSystem, max_n: int = DEFAULT_MAX_N,
+                      frame: LadderFrame | None = None) -> np.ndarray:
+    """rho against every candidate carrier, indexed by its integer value (least significant bit
+    on noise bit 1), read over ``frame`` (built here when None); see the module docstring."""
     n = sys.n_eff
     if n > max_n:
         raise ValueError(
@@ -174,23 +211,33 @@ def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
         if len(m.offsets) != n:
             raise ValueError(f"wire member {canonical_str(m)} is not a {n}-bit string carrier")
     start, length = signal_window.start, signal_window.length
-    # Reference (i, b) is the frame at offset 2i + b (i from 0 here).
-    frame = sign_bits(sys.seed, start, length + 2 * n - 1)
+    if frame is None:
+        frame = ladder_frame(sys.seed, n, start, length)
+    elif (frame.seed, frame.start, frame.length, frame.n_eff) != (sys.seed, start, length, n):
+        raise ValueError("ladder frame does not match the window and reference system")
     signal = signal_window.values
     totals = np.zeros(1 << n, dtype=np.int64)
     for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
-        sub = frame[pos:pos + BLOCK + 2 * n - 1]
-        k = sub.size - 2 * n + 1
-        flips = sub[:-1] ^ sub[1:]
-        base = np.full(k, n % 2 == 0, dtype=np.uint8)  # bit 1 encodes +1
-        pattern = np.zeros(k, dtype=np.intp)
-        for i in range(n):
-            base ^= sub[2 * i:2 * i + k]
-            pattern |= flips[2 * i:2 * i + k].astype(np.intp) << i
-        weight = signal[pos:pos + k].astype(np.int64)
-        np.add.at(totals, pattern, np.where(base, weight, -weight))
+        end = min(pos + BLOCK, length)
+        weight = np.multiply(signal[pos:end], frame.base[pos:end], dtype=np.int64)
+        np.add.at(totals, frame.pattern[pos:end], weight)
     walsh_hadamard(totals)
     return totals / length
+
+
+def _table_wire(frame: LadderFrame, values: Sequence[int]) -> np.ndarray:
+    table = np.zeros(1 << frame.n_eff, dtype=np.int32)
+    np.add.at(table, list(values), 1)
+    walsh_hadamard(table)
+    window = slice(frame.d, frame.d + frame.length)
+    return table[frame.pattern[window]] * frame.base[window]
+
+
+def _fold_wire(frame: LadderFrame, values: Sequence[int]) -> np.ndarray:
+    n, d, length = frame.n_eff, frame.d, frame.length
+    bits = {o: frame.bits[o:o + length] for o in range(d, d + 2 * n)}
+    members = [tuple(2 * i + (v >> i & 1) + d for i in range(n)) for v in values]
+    return superposition_ints(bits, members, np.zeros(length, dtype=np.int32))
 
 
 def _butterflies(totals: np.ndarray, levels: range) -> None:
@@ -221,21 +268,35 @@ def walsh_hadamard(totals: np.ndarray) -> None:
 
 
 def readout(signal_window: Window, sys: ReferenceSystem,
-            threshold: float = DEFAULT_THRESHOLD,
-            max_n: int = DEFAULT_MAX_N) -> tuple[np.ndarray, set[BitString]]:
-    """Sweep, threshold and decode: the rhos of every candidate and the
-    strings whose rho clears ``threshold``."""
+            threshold: float = DEFAULT_THRESHOLD, max_n: int = DEFAULT_MAX_N,
+            frame: LadderFrame | None = None) -> tuple[np.ndarray, list[int]]:
+    """Sweep and threshold: every rho, and the candidates (ascending ints) above ``threshold``."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be a finite number, got {threshold}")
-    rhos = correlation_sweep(signal_window, sys, max_n=max_n)
-    detected = {int_to_bits(int(v), sys.n_eff) for v in np.flatnonzero(rhos > threshold)}
-    return rhos, detected
+    rhos = correlation_sweep(signal_window, sys, max_n, frame)
+    return rhos, np.flatnonzero(rhos > threshold).tolist()
+
+
+def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int, d: int = 0,
+                        threshold: float = DEFAULT_THRESHOLD, max_n: int = DEFAULT_MAX_N,
+                        expr: StreamExpr | None = None) -> tuple[np.ndarray, list[int]]:
+    """:func:`readout` of the wire over [0, length) carrying the strings
+    ``values`` (ints) shifted by d, built from the frame the sweep reads."""
+    frame = ladder_frame(sys.seed, sys.n_eff, 0, length, d)
+    table = sys.n_eff << sys.n_eff < len(values) * length
+    ints = (_table_wire if table else _fold_wire)(frame, values)
+    return readout(Window(0, length, sys.seed, expr, ints=ints), sys, threshold, max_n, frame)
+
+
+def format_value(value: int, n_eff: int) -> str:
+    """``format_bits(int_to_bits(value, n_eff))`` without the tuple."""
+    return format(value, f"0{n_eff}b")[::-1]
 
 
 @functools.cache
 def _candidate_labels(n_eff: int) -> tuple[str, ...]:
     """``format_bits(int_to_bits(v, n_eff))`` for every v, in order."""
-    return tuple(format(v, f"0{n_eff}b")[::-1] for v in range(1 << n_eff))
+    return tuple(format_value(v, n_eff) for v in range(1 << n_eff))
 
 
 def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:
@@ -250,7 +311,7 @@ def decode_superposition(signal_window: Window, sys: ReferenceSystem,
                          threshold: float = DEFAULT_THRESHOLD,
                          max_n: int = DEFAULT_MAX_N) -> set[BitString]:
     """All candidate strings whose correlation clears the threshold."""
-    return readout(signal_window, sys, threshold, max_n)[1]
+    return {int_to_bits(v, sys.n_eff) for v in readout(signal_window, sys, threshold, max_n)[1]}
 
 
 def decode_report(signal_window: Window, sys: ReferenceSystem,
@@ -261,7 +322,7 @@ def decode_report(signal_window: Window, sys: ReferenceSystem,
     Keys: seed, N, k, m, L, threshold, detected (sorted "0101" strings)
     and, for n_eff <= 10, the full correlations list.
     """
-    rhos, detected = readout(signal_window, sys, threshold, max_n)
+    rhos, hits = readout(signal_window, sys, threshold, max_n)
     return add_correlations({
         "seed": sys.seed,
         "N": sys.n_bits,
@@ -269,7 +330,7 @@ def decode_report(signal_window: Window, sys: ReferenceSystem,
         "m": _signal_members(signal_window),
         "L": signal_window.length,
         "threshold": threshold,
-        "detected": sorted(format_bits(s) for s in detected),
+        "detected": sorted(format_value(v, sys.n_eff) for v in hits),
     }, rhos, sys.n_eff)
 
 
@@ -289,18 +350,10 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
                          f"got {m_strings}")
     if length is None:
         length = default_window_len(m_strings)
-    rng = random.Random(seed)
-    population = rng.sample(range(1 << sys.n_eff), m_strings)
-    strings = {int_to_bits(v, sys.n_eff) for v in population}
-    signal = encode_set(sys, strings)
-    window = materialize(sys.source, signal, 0, length)
-    rhos, decoded = readout(window, sys, threshold, max_n)
+    population = random.Random(seed).sample(range(1 << sys.n_eff), m_strings)
+    rhos, hits = carrier_set_readout(sys, population, length, 0, threshold, max_n)
 
-    member_idx = sorted(population)
-    member_rhos = [float(rhos[v]) for v in member_idx]
-    mask = np.ones(rhos.size, dtype=bool)
-    mask[member_idx] = False
-    nonmember_abs_max = float(np.abs(rhos[mask]).max()) if mask.any() else 0.0
+    members = sorted(population)
     return {
         "seed": seed,
         "N": n_bits,
@@ -308,10 +361,10 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
         "m": m_strings,
         "L": length,
         "threshold": threshold,
-        "strings": sorted(format_bits(s) for s in strings),
-        "detected": sorted(format_bits(s) for s in decoded),
-        "ok": decoded == strings,
-        "member_rho_min": min(member_rhos),
-        "member_rho_max": max(member_rhos),
-        "nonmember_abs_max": nonmember_abs_max,
+        "strings": sorted(format_value(v, sys.n_eff) for v in members),
+        "detected": sorted(format_value(v, sys.n_eff) for v in hits),
+        "ok": hits == members,
+        "member_rho_min": float(rhos[members].min()),
+        "member_rho_max": float(rhos[members].max()),
+        "nonmember_abs_max": float(np.abs(np.delete(rhos, members)).max(initial=0.0)),
     }

@@ -3,9 +3,9 @@
 Hardware derives the 2N references by clocking one telegraph wave into
 a register with 2N-1 storage stages and tapping every stage plus the
 live input.  This module steps that construction sample by sample with
-an actual deque of stages.  The rest of the package reads shifted
-streams by index offset instead; the two realizations are equivalent,
-and the conformance tests hold this one against the other bit for bit.
+an actual deque of stages.  The package reads shifted streams by index
+offset instead; the two realizations are equivalent, and the
+conformance tests hold this one against the other bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from .source import NoiseSource, as_source, sample_block
+from noisebits.source import NoiseSource, as_source, sample_block
 
 
 class DelayLineRegister:

@@ -20,11 +20,12 @@ from noisebits.apps import (
     random_shift_demo,
 )
 from noisebits.cli import main as cli_main
-from noisebits.delayline import delay_line_reference_values
 from noisebits.expr import Product, multiply, shift
 from noisebits.hyperspace import encode_string, int_to_bits, round_trip_run
 from noisebits.reference import build_reference_system, capacity, orthogonality_matrix
 from noisebits.window import correlate, materialize
+
+from delayline import delay_line_reference_values
 
 # Pinned 20-seed list for the round-trip criterion.  Chosen once, with
 # margin, against the member/non-member tolerances below.

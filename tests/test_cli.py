@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from noisebits import hyperspace, source, window
 from noisebits.cli import build_parser, main
 
 
@@ -313,3 +314,41 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
                              flag, str(missing))
     assert code == 2 and out == ""
     assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["encode-decode", "--n", "4", "--l", "0"], "window length must be at least 1, got 0"),
+    (["holographic", "--n", "3", "--d", "1", "--l", "0", "--strings", "010"],
+     "window length must be at least 1, got 0"),
+    (["encode-decode", "--n", "15"],
+     "capacity exceeded: raise max_n explicitly (n_eff=15, max_n=14)"),
+    (["holographic", "--n", "3", "--strings", "010,010"],
+     "duplicate members silently double amplitude; refusing"),
+])
+def test_readout_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, n_eff, length, d", [
+    (["encode-decode", "--n", "6", "--m-strings", "40"], 6, 15_600, 0),  # pattern table
+    (["encode-decode", "--n", "7", "--k", "1", "--m-strings", "3"], 14, 10_000, 0),  # fold
+    (["holographic", "--n", "5", "--k", "1", "--d", "2", "--strings",
+      "0110100101,1110001000"], 10, 10_000, 2),  # pattern table
+    (["holographic", "--n", "12", "--d", "3", "--strings", "011010010111"], 12, 10_000, 3),
+])
+def test_readout_op_hashes_each_sample_once(capsys, monkeypatch, argv, n_eff, length, d):
+    """One readout op hashes one frame, [0, L + 2*n_eff - 1 + d), which
+    serves both the wire and the sweep."""
+    calls = []
+    real = source.sign_bits
+
+    def counting(seed, start, count):
+        calls.append((start, count))
+        return real(seed, start, count)
+
+    for module in (source, window, hyperspace):
+        monkeypatch.setattr(module, "sign_bits", counting)
+    code, _, _ = run_cli(capsys, *argv, "--seed", "5")
+    assert code == 0
+    assert calls == [(0, length + 2 * n_eff - 1 + d)]

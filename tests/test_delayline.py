@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from noisebits.delayline import DelayLineRegister, delay_line_reference_values
 from noisebits.expr import Product
 from noisebits.reference import build_reference_system
 from noisebits.window import materialize
+
+from delayline import DelayLineRegister, delay_line_reference_values
 
 
 @pytest.mark.parametrize("n_eff", [1, 2, 3])

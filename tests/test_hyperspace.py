@@ -17,6 +17,7 @@ from noisebits.hyperspace import (
     encode_string,
     format_bits,
     int_to_bits,
+    ladder_frame,
     parse_bits,
     product_to_string,
     round_trip_run,
@@ -289,3 +290,22 @@ def test_bits_helpers():
         parse_bits("01x")
     with pytest.raises(ValueError):
         int_to_bits(8, 3)
+
+
+def test_ladder_frame_rejects_empty_window_and_negative_shift():
+    with pytest.raises(ValueError, match="window length must be at least 1, got 0"):
+        ladder_frame(42, 4, 0, 0)
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        ladder_frame(42, 4, 0, 100, -1)
+
+
+def test_sweep_rejects_a_frame_of_another_window():
+    sys = build_reference_system(42, 4)
+    w = materialize(sys.source, encode_set(sys, [(0, 1, 0, 1), (1, 1, 0, 0)]), 0, 1000)
+    for frame in (ladder_frame(43, 4, 0, 1000), ladder_frame(42, 4, 1, 1000),
+                  ladder_frame(42, 4, 0, 999), ladder_frame(42, 5, 0, 1000)):
+        with pytest.raises(ValueError, match="ladder frame does not match"):
+            correlation_sweep(w, sys, frame=frame)
+    shifted = ladder_frame(42, 4, 0, 1000, 2)  # a frame with d > 0 still covers [0, L)
+    assert not any(a.flags.writeable for a in (shifted.bits, shifted.base, shifted.pattern))
+    assert np.array_equal(correlation_sweep(w, sys, frame=shifted), correlation_sweep(w, sys))

@@ -2,35 +2,43 @@
 
 The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
-``sample`` oracle built on ``source_sample``.  The report writer must
-equal ``json.dumps(indent=2)``.  Examples are drawn deterministically,
-so the suite stays reproducible.
+``sample`` oracle built on ``source_sample``.  The pattern-table and
+XOR-fold wires of a carrier set must equal ``materialize``, and
+``Product``'s canonical form the Counter pass it used to run on every
+input.  The report writer must equal ``json.dumps(indent=2)``.
+Examples are drawn deterministically, so the suite stays reproducible.
 """
 
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noisebits.hyperspace as hyperspace_module
 import noisebits.window as window_module
 from noisebits.cli import _json, _records
-from noisebits.expr import Product, Superposition, sample
+from noisebits.expr import MAX_OFFSET, Product, Superposition, sample, shift
 from noisebits.hyperspace import (
+    _fold_wire,
+    _table_wire,
     add_correlations,
+    carrier_set_readout,
     correlation_sweep,
     encode_integer,
     encode_set,
     encode_string,
     format_bits,
     int_to_bits,
+    ladder_frame,
     walsh_hadamard,
 )
 from noisebits.reference import build_reference_system
 from noisebits.source import BLOCK, NoiseSource, sample_block, sign_bits, source_sample
-from noisebits.window import correlate, materialize, negate, product_words, unpack_bits
+from noisebits.window import Window, correlate, materialize, negate, product_words, unpack_bits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -245,3 +253,101 @@ def test_flat_records_take_the_template(rows):
            for row in rows for v in row.values()):
         assert _records(rows, "\n") is not None
     assert _json({"correlations": rows}) == json.dumps({"correlations": rows}, indent=2)
+
+
+BLOCK_EDGES = [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
+
+
+def assert_wire_paths_agree(seed, n_eff, values, length, d):
+    """The pattern table, the XOR fold from the ladder frame, and
+    ``materialize`` of the shifted set give the same int32 wire, and the
+    sweep reads the same rhos off each, with or without the shared frame."""
+    sys = build_reference_system(seed, n_eff)
+    expr = shift(encode_set(sys, [int_to_bits(v, n_eff) for v in values]), d)
+    want = materialize(sys.source, expr, 0, length)
+    frame = ladder_frame(seed, n_eff, 0, length, d)
+    table, fold = _table_wire(frame, values), _fold_wire(frame, values)
+    assert table.dtype == fold.dtype == want.ints.dtype == np.int32
+    assert table.tolist() == fold.tolist() == want.ints.tolist()
+    rhos = correlation_sweep(want, sys)
+    for ints in (table, fold):
+        wire = Window(0, length, seed, None, ints=ints)
+        assert np.array_equal(correlation_sweep(wire, sys, frame=frame), rhos)
+    assert np.array_equal(carrier_set_readout(sys, values, length, d)[0], rhos)
+
+
+@pytest.mark.parametrize("n_eff", range(1, 15))
+@settings(PROPERTY, max_examples=5)
+@given(seed=seeds, d=st.integers(0, 3), data=st.data())
+def test_carrier_set_wire_paths_agree(n_eff, seed, d, data):
+    m = data.draw(st.one_of(st.just(1), st.integers(1, min(64, 2**n_eff))))
+    length = data.draw(st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 3 * BLOCK)))
+    length = min(length, max(1, 2 * 10**7 // (m * n_eff)))  # bounds the fold oracle
+    values = sorted(data.draw(st.sets(st.integers(0, 2**n_eff - 1), min_size=m, max_size=m)))
+    assert_wire_paths_agree(seed, n_eff, values, length, d)
+
+
+@pytest.mark.parametrize("n_eff, length", [(1, BLOCK + 1), (4, 2 * BLOCK + 7), (8, 65),
+                                           (11, 64), (14, 3)])
+def test_carrier_set_wire_paths_agree_on_every_string(n_eff, length):
+    assert_wire_paths_agree(n_eff, n_eff, range(2**n_eff), length, 3)
+
+
+@pytest.mark.parametrize("n_eff, m, length, d, path", [
+    (6, 40, BLOCK + 1, 2, "_table_wire"),   # 6 * 2**6 < 40 * L
+    (14, 16, 10_000, 0, "_fold_wire"),      # 14 * 2**14 > 16 * 10**4
+    (14, 23, 10_000, 1, "_table_wire"),     # 14 * 2**14 < 23 * 10**4
+    (12, 1, 2 * BLOCK + 7, 3, "_fold_wire"),  # 12 * 2**12 > 1 * L
+    (3, 8, 1, 2, "_fold_wire"),             # 3 * 2**3 > 8 * 1
+])
+def test_cost_rule_picks_the_wire_path(monkeypatch, n_eff, m, length, d, path):
+    called = []
+    for name in ("_table_wire", "_fold_wire"):
+        real = getattr(hyperspace_module, name)
+        monkeypatch.setattr(hyperspace_module, name,
+                            lambda frame, values, name=name, real=real:
+                            called.append(name) or real(frame, values))
+    sys = build_reference_system(17, n_eff)
+    values = list(range(0, 2**n_eff, 2**n_eff // m))[:m]
+    rhos = carrier_set_readout(sys, values, length, d)[0]
+    wire = materialize(sys.source, shift(encode_set(
+        sys, [int_to_bits(v, n_eff) for v in values]), d), 0, length)
+    assert called == [path]
+    assert np.array_equal(rhos, correlation_sweep(wire, sys))
+
+
+def old_canonical(offsets):
+    """Product's canonical form before the already-canonical fast path:
+    the Counter pass for every input, then the range checks."""
+    kept = tuple(sorted(o for o, c in Counter(int(o) for o in offsets).items() if c % 2))
+    for o in kept:
+        if o < 0:
+            raise ValueError(f"offsets must be non-negative, got {o}")
+        if o > MAX_OFFSET:
+            raise OverflowError(f"offset {o} exceeds the supported range (2**48)")
+    return kept
+
+
+@PROPERTY
+@given(offsets=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**48),
+                                  st.integers(-3, -1), st.integers(2**48 - 1, 2**48 + 2)),
+                        max_size=10),
+       form=st.sampled_from(["tuple", "sorted", "canonical", "list", "numpy", "bool"]))
+def test_product_canonical_form_equals_counter_oracle(offsets, form):
+    if form == "sorted":
+        offsets = sorted(offsets)
+    elif form == "canonical":
+        offsets = sorted(set(offsets))
+    elif form == "bool":
+        offsets = [bool(o % 2) for o in offsets]
+    given_offsets = {"list": list, "numpy": lambda o: tuple(np.int64(v) for v in o)}.get(
+        form, tuple)(offsets)
+    try:
+        want = old_canonical(given_offsets)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as err:
+            Product(given_offsets)
+        assert str(err.value) == str(exc)
+        return
+    got = Product(given_offsets).offsets
+    assert got == want and all(type(o) is int for o in got)
