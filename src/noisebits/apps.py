@@ -78,8 +78,9 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     checked = [check_bits(s, sys.n_eff) for s in strings]
     if length is None:
         length = default_window_len(len(checked))
+    encode_set(sys, checked)  # rejects duplicate members
     rhos, hits = carrier_set_readout(sys, [bits_to_int(s) for s in checked], length, d,
-                                     threshold, max_n, shift(encode_set(sys, checked), d))
+                                     threshold, max_n)
     decoded = {format_value(v, sys.n_eff) for v in hits}
 
     expected: set[str] = set()

@@ -37,11 +37,8 @@ class Product:
     offsets: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        kept = self.offsets
-        if not (type(kept) is tuple and set(map(type, kept)) <= {int}
-                and all(a < b for a, b in zip(kept, kept[1:]))):  # not canonical yet
-            counts = Counter(int(o) for o in kept)
-            kept = tuple(sorted(o for o, c in counts.items() if c % 2))
+        counts = Counter(int(o) for o in self.offsets)
+        kept = tuple(sorted(o for o, c in counts.items() if c % 2))
         for o in kept:
             if o < 0:
                 raise ValueError(f"offsets must be non-negative, got {o}")

@@ -15,8 +15,9 @@ int64 totals, ``source.BLOCK`` samples at a time; their Walsh-Hadamard
 transform (Fino & Algazi, 1976) is every candidate's total, exact until
 one division by L, in O(L + n_eff * 2**n_eff).  Run backwards, the
 identity gives a set S's wire, base * W_S[pattern] with W_S the
-transform of S's indicator: used when n_eff * 2**n_eff < m * L, else
-each carrier is XOR-folded from the frame, to the same int32 samples.
+transform of S's indicator, or each carrier is XOR-folded from the
+frame, to the same int32 samples; a measured cost model picks the
+cheaper.  Both build the wire BLOCK samples at a time.
 ``max_n`` caps the 2**n_eff * 8-byte histogram unless raised explicitly.
 """
 
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .expr import Product, StreamExpr, Superposition, canonical_str, member_count, superpose
+from .expr import Product, Superposition, canonical_str, member_count, superpose
 from .reference import ReferenceSystem, build_reference_system
 from .source import BLOCK, sign_bits
 from .window import Window, correlate, materialize, superposition_ints
@@ -174,10 +175,10 @@ class LadderFrame(NamedTuple):
 
 def ladder_frame(seed: int, n_eff: int, start: int, length: int, d: int = 0) -> LadderFrame:
     """Hash the frame once; derive base and pattern BLOCK samples at a time."""
+    if d < 0:  # expr.shift's check, made before the length check
+        raise ValueError("negative shifts are not represented; shift the other operand")
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
-    if d < 0:
-        raise ValueError(f"frame shift d must be non-negative, got {d}")
     span = length + d
     bits = sign_bits(seed, start, span + 2 * n_eff - 1)
     base = np.empty(span, dtype=np.int8)
@@ -229,15 +230,23 @@ def _table_wire(frame: LadderFrame, values: Sequence[int]) -> np.ndarray:
     table = np.zeros(1 << frame.n_eff, dtype=np.int32)
     np.add.at(table, list(values), 1)
     walsh_hadamard(table)
-    window = slice(frame.d, frame.d + frame.length)
-    return table[frame.pattern[window]] * frame.base[window]
+    wire = np.empty(frame.length, dtype=np.int32)
+    for pos in range(0, frame.length, BLOCK):  # bounded temporaries; see BLOCK
+        out, t = wire[pos:pos + BLOCK], frame.d + pos
+        np.take(table, frame.pattern[t:t + out.size], out=out)
+        out *= frame.base[t:t + out.size]
+    return wire
 
 
 def _fold_wire(frame: LadderFrame, values: Sequence[int]) -> np.ndarray:
-    n, d, length = frame.n_eff, frame.d, frame.length
-    bits = {o: frame.bits[o:o + length] for o in range(d, d + 2 * n)}
-    members = [tuple(2 * i + (v >> i & 1) + d for i in range(n)) for v in values]
-    return superposition_ints(bits, members, np.zeros(length, dtype=np.int32))
+    n = frame.n_eff
+    members = [tuple(2 * i + (v >> i & 1) for i in range(n)) for v in values]
+    wire = np.zeros(frame.length, dtype=np.int32)
+    for pos in range(0, frame.length, BLOCK):  # bounded temporaries; see BLOCK
+        out, t = wire[pos:pos + BLOCK], frame.d + pos
+        superposition_ints({o: frame.bits[t + o:t + o + out.size] for o in range(2 * n)},
+                           members, out)
+    return wire
 
 
 def _butterflies(totals: np.ndarray, levels: range) -> None:
@@ -278,14 +287,16 @@ def readout(signal_window: Window, sys: ReferenceSystem,
 
 
 def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int, d: int = 0,
-                        threshold: float = DEFAULT_THRESHOLD, max_n: int = DEFAULT_MAX_N,
-                        expr: StreamExpr | None = None) -> tuple[np.ndarray, list[int]]:
+                        threshold: float = DEFAULT_THRESHOLD,
+                        max_n: int = DEFAULT_MAX_N) -> tuple[np.ndarray, list[int]]:
     """:func:`readout` of the wire over [0, length) carrying the strings
     ``values`` (ints) shifted by d, built from the frame the sweep reads."""
     frame = ladder_frame(sys.seed, sys.n_eff, 0, length, d)
-    table = sys.n_eff << sys.n_eff < len(values) * length
+    n, m, blocks = sys.n_eff, len(values), -(-length // BLOCK)
+    # Fitted wire-build costs in units of 0.5 ns; see the README's readout notes.
+    table = n * (2 << n) + 20_000 * n + 4 * length < m * (length + 3_200 * blocks * (n + 2))
     ints = (_table_wire if table else _fold_wire)(frame, values)
-    return readout(Window(0, length, sys.seed, expr, ints=ints), sys, threshold, max_n, frame)
+    return readout(Window(0, length, sys.seed, None, ints=ints), sys, threshold, max_n, frame)
 
 
 def format_value(value: int, n_eff: int) -> str:

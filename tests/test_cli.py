@@ -324,6 +324,10 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
      "capacity exceeded: raise max_n explicitly (n_eff=15, max_n=14)"),
     (["holographic", "--n", "3", "--strings", "010,010"],
      "duplicate members silently double amplitude; refusing"),
+    (["holographic", "--n", "3", "--d", "-1", "--l", "0", "--strings", "010"],
+     "negative shifts are not represented; shift the other operand"),
+    (["holographic", "--n", "3", "--d", "-1", "--l", "0", "--strings", "010,010"],
+     "duplicate members silently double amplitude; refusing"),
 ])
 def test_readout_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -334,8 +338,10 @@ def test_readout_usage_errors(capsys, argv, message):
     (["encode-decode", "--n", "6", "--m-strings", "40"], 6, 15_600, 0),  # pattern table
     (["encode-decode", "--n", "7", "--k", "1", "--m-strings", "3"], 14, 10_000, 0),  # fold
     (["holographic", "--n", "5", "--k", "1", "--d", "2", "--strings",
-      "0110100101,1110001000"], 10, 10_000, 2),  # pattern table
-    (["holographic", "--n", "12", "--d", "3", "--strings", "011010010111"], 12, 10_000, 3),
+      "0110100101,1110001000,0001110110,1010101010,0101010101,1100110011"],
+     10, 10_000, 2),  # pattern table
+    (["holographic", "--n", "12", "--d", "3", "--strings", "011010010111"],
+     12, 10_000, 3),  # fold
 ])
 def test_readout_op_hashes_each_sample_once(capsys, monkeypatch, argv, n_eff, length, d):
     """One readout op hashes one frame, [0, L + 2*n_eff - 1 + d), which

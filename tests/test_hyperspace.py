@@ -295,7 +295,7 @@ def test_bits_helpers():
 def test_ladder_frame_rejects_empty_window_and_negative_shift():
     with pytest.raises(ValueError, match="window length must be at least 1, got 0"):
         ladder_frame(42, 4, 0, 0)
-    with pytest.raises(ValueError, match="non-negative, got -1"):
+    with pytest.raises(ValueError, match="negative shifts are not represented"):
         ladder_frame(42, 4, 0, 100, -1)
 
 

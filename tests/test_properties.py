@@ -3,15 +3,13 @@
 The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
 ``sample`` oracle built on ``source_sample``.  The pattern-table and
-XOR-fold wires of a carrier set must equal ``materialize``, and
-``Product``'s canonical form the Counter pass it used to run on every
-input.  The report writer must equal ``json.dumps(indent=2)``.
-Examples are drawn deterministically, so the suite stays reproducible.
+XOR-fold wires of a carrier set must equal ``materialize``.  The report
+writer must equal ``json.dumps(indent=2)``.  Examples are drawn
+deterministically, so the suite stays reproducible.
 """
 
 import json
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from hypothesis import strategies as st
 import noisebits.hyperspace as hyperspace_module
 import noisebits.window as window_module
 from noisebits.cli import _json, _records
-from noisebits.expr import MAX_OFFSET, Product, Superposition, sample, shift
+from noisebits.expr import Product, Superposition, sample, shift
 from noisebits.hyperspace import (
     _fold_wire,
     _table_wire,
@@ -293,12 +291,16 @@ def test_carrier_set_wire_paths_agree_on_every_string(n_eff, length):
     assert_wire_paths_agree(n_eff, n_eff, range(2**n_eff), length, 3)
 
 
-@pytest.mark.parametrize("n_eff, m, length, d, path", [
-    (6, 40, BLOCK + 1, 2, "_table_wire"),   # 6 * 2**6 < 40 * L
-    (14, 16, 10_000, 0, "_fold_wire"),      # 14 * 2**14 > 16 * 10**4
-    (14, 23, 10_000, 1, "_table_wire"),     # 14 * 2**14 < 23 * 10**4
-    (12, 1, 2 * BLOCK + 7, 3, "_fold_wire"),  # 12 * 2**12 > 1 * L
-    (3, 8, 1, 2, "_fold_wire"),             # 3 * 2**3 > 8 * 1
+@pytest.mark.parametrize("n_eff, m, length, d, path", [  # table cost vs m * fold cost
+    (6, 40, BLOCK + 1, 2, "_table_wire"),     # 184_772 < 40 * 67_201
+    (6, 2, BLOCK + 1, 0, "_fold_wire"),       # 184_772 > 2 * 67_201
+    (14, 12, 10_000, 0, "_fold_wire"),        # 778_752 > 12 * 61_200
+    (14, 13, 10_000, 1, "_table_wire"),       # 778_752 < 13 * 61_200
+    (10, 5, 10_000, 3, "_fold_wire"),         # 260_480 > 5 * 48_400
+    (10, 6, 10_000, 2, "_table_wire"),        # 260_480 < 6 * 48_400
+    (12, 1, 2 * BLOCK + 7, 3, "_fold_wire"),  # 466_332 > 1 * 166_407
+    (3, 8, 1, 2, "_table_wire"),              # 60_052 < 8 * 16_001
+    (3, 1, 1, 0, "_fold_wire"),               # 60_052 > 1 * 16_001
 ])
 def test_cost_rule_picks_the_wire_path(monkeypatch, n_eff, m, length, d, path):
     called = []
@@ -315,39 +317,3 @@ def test_cost_rule_picks_the_wire_path(monkeypatch, n_eff, m, length, d, path):
     assert called == [path]
     assert np.array_equal(rhos, correlation_sweep(wire, sys))
 
-
-def old_canonical(offsets):
-    """Product's canonical form before the already-canonical fast path:
-    the Counter pass for every input, then the range checks."""
-    kept = tuple(sorted(o for o, c in Counter(int(o) for o in offsets).items() if c % 2))
-    for o in kept:
-        if o < 0:
-            raise ValueError(f"offsets must be non-negative, got {o}")
-        if o > MAX_OFFSET:
-            raise OverflowError(f"offset {o} exceeds the supported range (2**48)")
-    return kept
-
-
-@PROPERTY
-@given(offsets=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**48),
-                                  st.integers(-3, -1), st.integers(2**48 - 1, 2**48 + 2)),
-                        max_size=10),
-       form=st.sampled_from(["tuple", "sorted", "canonical", "list", "numpy", "bool"]))
-def test_product_canonical_form_equals_counter_oracle(offsets, form):
-    if form == "sorted":
-        offsets = sorted(offsets)
-    elif form == "canonical":
-        offsets = sorted(set(offsets))
-    elif form == "bool":
-        offsets = [bool(o % 2) for o in offsets]
-    given_offsets = {"list": list, "numpy": lambda o: tuple(np.int64(v) for v in o)}.get(
-        form, tuple)(offsets)
-    try:
-        want = old_canonical(given_offsets)
-    except (ValueError, OverflowError) as exc:
-        with pytest.raises(type(exc)) as err:
-            Product(given_offsets)
-        assert str(err.value) == str(exc)
-        return
-    got = Product(given_offsets).offsets
-    assert got == want and all(type(o) is int for o in got)
