@@ -15,9 +15,9 @@ int64 totals, ``source.BLOCK`` samples at a time; their Walsh-Hadamard
 transform (Fino & Algazi, 1976) is every candidate's total, exact until
 one division by L, in O(L + n_eff * 2**n_eff).  Run backwards, the
 identity gives a set S's wire, base * W_S[pattern] with W_S the
-transform of S's indicator, or each carrier is XOR-folded from the
-frame, to the same int32 samples; a measured cost model picks the
-cheaper.  Both build the wire BLOCK samples at a time.
+transform of S's indicator, so a carrier set is read without its wire:
+at d = 0, base**2 = 1 makes the histogram the pattern count times W_S;
+shifted by d, sample t weighs W_S[pattern(t+d)] * base(t+d) * base(t).
 ``max_n`` caps the 2**n_eff * 8-byte histogram unless raised explicitly.
 """
 
@@ -27,14 +27,14 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .expr import Product, Superposition, canonical_str, member_count, superpose
 from .reference import ReferenceSystem, build_reference_system
 from .source import BLOCK, sign_bits
-from .window import Window, correlate, materialize, superposition_ints
+from .window import Window, correlate, materialize
 
 #: Classical bit strings are plain tuples of 0/1 ints.
 BitString = tuple[int, ...]
@@ -114,8 +114,8 @@ def encode_set(sys: ReferenceSystem, strings: Iterable[Sequence[int]]) -> Superp
 
 
 def default_window_len(m: int) -> int:
-    """Window length policy: 5 sigma of an m-member readout stays below
-    0.25, half the threshold margin.  max(10**4, 400 * (m - 1))."""
+    """Window length policy, max(10**4, 400 * (m - 1)): 5 sigma stays below 0.25, half
+    the margin, unless member terms add coherently (README, readout policy)."""
     return max(10_000, 400 * (max(m, 1) - 1))
 
 
@@ -159,22 +159,10 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
                            present=est.rho > threshold, sigma_bound=bound)
 
 
-class LadderFrame(NamedTuple):
-    """Sign ``bits`` of [start, start + length + 2*n_eff - 1 + d) and, for its first length + d
-    samples, ``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1)."""
-
-    seed: int
-    start: int
-    length: int
-    n_eff: int
-    d: int
-    bits: np.ndarray
-    base: np.ndarray
-    pattern: np.ndarray
-
-
-def ladder_frame(seed: int, n_eff: int, start: int, length: int, d: int = 0) -> LadderFrame:
-    """Hash the frame once; derive base and pattern BLOCK samples at a time."""
+def ladder_frame(seed: int, n_eff: int, start: int, length: int,
+                 d: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1) of the samples
+    [start, start + length + d), from one hash of [start, start + length + 2*n_eff - 1 + d)."""
     if d < 0:  # expr.shift's check, made before the length check
         raise ValueError("negative shifts are not represented; shift the other operand")
     if length < 1:
@@ -182,8 +170,8 @@ def ladder_frame(seed: int, n_eff: int, start: int, length: int, d: int = 0) -> 
     span = length + d
     bits = sign_bits(seed, start, span + 2 * n_eff - 1)
     base = np.empty(span, dtype=np.int8)
-    pattern = np.zeros(span, dtype=np.uint16 if n_eff <= 16 else np.uint64)
-    for pos in range(0, span, BLOCK):
+    pattern = np.zeros(span, dtype=np.uint16 if n_eff <= 16 else np.uint32)
+    for pos in range(0, span, BLOCK):  # bounded temporaries; see BLOCK
         sub = bits[pos:pos + BLOCK + 2 * n_eff - 1]
         k = sub.size - 2 * n_eff + 1
         flips = (sub[:-1] ^ sub[1:]).astype(pattern.dtype)
@@ -192,61 +180,42 @@ def ladder_frame(seed: int, n_eff: int, start: int, length: int, d: int = 0) -> 
             sign ^= sub[2 * i:2 * i + k]
             pattern[pos:pos + k] |= flips[2 * i:2 * i + k] << i
         np.subtract(sign << 1, 1, out=base[pos:pos + k], casting="unsafe")
-    for samples in (bits, base, pattern):
-        samples.setflags(write=False)
-    return LadderFrame(seed, start, length, n_eff, d, bits, base, pattern)
+    return base, pattern
 
 
-def correlation_sweep(signal_window: Window, sys: ReferenceSystem, max_n: int = DEFAULT_MAX_N,
-                      frame: LadderFrame | None = None) -> np.ndarray:
-    """rho against every candidate carrier, indexed by its integer value (least significant bit
-    on noise bit 1), read over ``frame`` (built here when None); see the module docstring."""
-    n = sys.n_eff
-    if n > max_n:
+def _check_capacity(n_eff: int, max_n: int) -> None:
+    if n_eff > max_n:
         raise ValueError(
-            f"capacity exceeded: raise max_n explicitly (n_eff={n}, max_n={max_n})"
+            f"capacity exceeded: raise max_n explicitly (n_eff={n_eff}, max_n={max_n})"
         )
+
+
+def _check_threshold(threshold: float) -> None:
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
+
+
+def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
+                      max_n: int = DEFAULT_MAX_N) -> np.ndarray:
+    """rho against every candidate carrier, indexed by its integer value
+    (least significant bit on noise bit 1); see the module docstring."""
+    n = sys.n_eff
+    _check_capacity(n, max_n)
     _check_same_source(signal_window, sys)
     expr = signal_window.expr
     for m in () if expr is None else getattr(expr, "members", (expr,)):
         if len(m.offsets) != n:
             raise ValueError(f"wire member {canonical_str(m)} is not a {n}-bit string carrier")
-    start, length = signal_window.start, signal_window.length
-    if frame is None:
-        frame = ladder_frame(sys.seed, n, start, length)
-    elif (frame.seed, frame.start, frame.length, frame.n_eff) != (sys.seed, start, length, n):
-        raise ValueError("ladder frame does not match the window and reference system")
+    length = signal_window.length
+    base, pattern = ladder_frame(sys.seed, n, signal_window.start, length)
     signal = signal_window.values
     totals = np.zeros(1 << n, dtype=np.int64)
     for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
         end = min(pos + BLOCK, length)
-        weight = np.multiply(signal[pos:end], frame.base[pos:end], dtype=np.int64)
-        np.add.at(totals, frame.pattern[pos:end], weight)
+        weight = np.multiply(signal[pos:end], base[pos:end], dtype=np.int64)
+        np.add.at(totals, pattern[pos:end], weight)
     walsh_hadamard(totals)
     return totals / length
-
-
-def _table_wire(frame: LadderFrame, values: Sequence[int]) -> np.ndarray:
-    table = np.zeros(1 << frame.n_eff, dtype=np.int32)
-    np.add.at(table, list(values), 1)
-    walsh_hadamard(table)
-    wire = np.empty(frame.length, dtype=np.int32)
-    for pos in range(0, frame.length, BLOCK):  # bounded temporaries; see BLOCK
-        out, t = wire[pos:pos + BLOCK], frame.d + pos
-        np.take(table, frame.pattern[t:t + out.size], out=out)
-        out *= frame.base[t:t + out.size]
-    return wire
-
-
-def _fold_wire(frame: LadderFrame, values: Sequence[int]) -> np.ndarray:
-    n = frame.n_eff
-    members = [tuple(2 * i + (v >> i & 1) for i in range(n)) for v in values]
-    wire = np.zeros(frame.length, dtype=np.int32)
-    for pos in range(0, frame.length, BLOCK):  # bounded temporaries; see BLOCK
-        out, t = wire[pos:pos + BLOCK], frame.d + pos
-        superposition_ints({o: frame.bits[t + o:t + o + out.size] for o in range(2 * n)},
-                           members, out)
-    return wire
 
 
 def _butterflies(totals: np.ndarray, levels: range) -> None:
@@ -261,7 +230,7 @@ def _butterflies(totals: np.ndarray, levels: range) -> None:
 
 
 def walsh_hadamard(totals: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform of a 2**n int64 vector, in
+    """Unnormalized Walsh-Hadamard transform of a 2**n integer vector, in
     place.  Butterflies across a low index bit would run on rows of 1, 2,
     4... elements, so the high n - n//2 bits are done first, then the
     index bits are swapped by a transpose, the former low bits are done
@@ -277,12 +246,11 @@ def walsh_hadamard(totals: np.ndarray) -> None:
 
 
 def readout(signal_window: Window, sys: ReferenceSystem,
-            threshold: float = DEFAULT_THRESHOLD, max_n: int = DEFAULT_MAX_N,
-            frame: LadderFrame | None = None) -> tuple[np.ndarray, list[int]]:
+            threshold: float = DEFAULT_THRESHOLD,
+            max_n: int = DEFAULT_MAX_N) -> tuple[np.ndarray, list[int]]:
     """Sweep and threshold: every rho, and the candidates (ascending ints) above ``threshold``."""
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be a finite number, got {threshold}")
-    rhos = correlation_sweep(signal_window, sys, max_n, frame)
+    _check_threshold(threshold)
+    rhos = correlation_sweep(signal_window, sys, max_n)
     return rhos, np.flatnonzero(rhos > threshold).tolist()
 
 
@@ -290,13 +258,30 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
                         threshold: float = DEFAULT_THRESHOLD,
                         max_n: int = DEFAULT_MAX_N) -> tuple[np.ndarray, list[int]]:
     """:func:`readout` of the wire over [0, length) carrying the strings
-    ``values`` (ints) shifted by d, built from the frame the sweep reads."""
-    frame = ladder_frame(sys.seed, sys.n_eff, 0, length, d)
-    n, m, blocks = sys.n_eff, len(values), -(-length // BLOCK)
-    # Fitted wire-build costs in units of 0.5 ns; see the README's readout notes.
-    table = n * (2 << n) + 20_000 * n + 4 * length < m * (length + 3_200 * blocks * (n + 2))
-    ints = (_table_wire if table else _fold_wire)(frame, values)
-    return readout(Window(0, length, sys.seed, None, ints=ints), sys, threshold, max_n, frame)
+    ``values`` (ints) shifted by d, binned straight off the ladder frame
+    without building the wire; see the module docstring."""
+    n = sys.n_eff
+    base, pattern = ladder_frame(sys.seed, n, 0, length, d)
+    _check_threshold(threshold)
+    _check_capacity(n, max_n)
+    table = np.zeros(1 << n, dtype=np.int32)
+    np.add.at(table, list(values), 1)
+    walsh_hadamard(table)  # W_S: the wire is base * W_S[pattern]
+    totals = np.zeros(1 << n, dtype=np.int64)
+    for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
+        end = min(pos + BLOCK, length)
+        if d == 0:  # wire * base is W_S[pattern]: count the patterns
+            totals += np.bincount(pattern[pos:end], minlength=1 << n)
+            continue
+        weight = np.multiply(table[pattern[pos + d:end + d]], base[pos + d:end + d],
+                             dtype=np.int64)  # int64, so np.add.at takes its fast path
+        weight *= base[pos:end]
+        np.add.at(totals, pattern[pos:end], weight)
+    if d == 0:
+        totals *= table
+    walsh_hadamard(totals)
+    rhos = totals / length
+    return rhos, np.flatnonzero(rhos > threshold).tolist()
 
 
 def format_value(value: int, n_eff: int) -> str:

@@ -136,17 +136,6 @@ def _product_bits(frame: dict[int, np.ndarray], offsets: tuple[int, ...],
     return out
 
 
-def superposition_ints(frame: dict[int, np.ndarray], members: Sequence[tuple[int, ...]],
-                       out: np.ndarray) -> np.ndarray:
-    """Sum into zeroed int32 ``out`` the +-1 folds of ``members`` (offsets)."""
-    bits = np.empty(out.size, dtype=np.uint8)
-    for offsets in members:  # members at +1, then the signed sum
-        out += _product_bits(frame, offsets, bits)
-    out *= 2
-    out -= len(members)
-    return out
-
-
 def product_words(source: NoiseSource | int, offsets: tuple[int, ...],
                   start: int, length: int) -> np.ndarray:
     """Packed +-1 window of a product stream (bit 1 encodes +1)."""
@@ -190,7 +179,11 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
                                      bitorder="little")
                 out.view(np.uint8)[pos // 8:pos // 8 + packed.size] = packed
                 continue
-            superposition_ints(frame, [m.offsets for m in expr.members], out[pos:pos + k])
+            block = out[pos:pos + k]
+            for m in expr.members:  # members at +1, then the signed sum
+                block += _product_bits(frame, m.offsets, bits[:k])
+            block *= 2
+            block -= len(expr.members)
     windows = {e: Window(start, length, src.seed, e, words=out) if isinstance(e, Product)
                else Window(start, length, src.seed, e, ints=out)
                for e, out in zip(exprs, samples)}

@@ -297,15 +297,3 @@ def test_ladder_frame_rejects_empty_window_and_negative_shift():
         ladder_frame(42, 4, 0, 0)
     with pytest.raises(ValueError, match="negative shifts are not represented"):
         ladder_frame(42, 4, 0, 100, -1)
-
-
-def test_sweep_rejects_a_frame_of_another_window():
-    sys = build_reference_system(42, 4)
-    w = materialize(sys.source, encode_set(sys, [(0, 1, 0, 1), (1, 1, 0, 0)]), 0, 1000)
-    for frame in (ladder_frame(43, 4, 0, 1000), ladder_frame(42, 4, 1, 1000),
-                  ladder_frame(42, 4, 0, 999), ladder_frame(42, 5, 0, 1000)):
-        with pytest.raises(ValueError, match="ladder frame does not match"):
-            correlation_sweep(w, sys, frame=frame)
-    shifted = ladder_frame(42, 4, 0, 1000, 2)  # a frame with d > 0 still covers [0, L)
-    assert not any(a.flags.writeable for a in (shifted.bits, shifted.base, shifted.pattern))
-    assert np.array_equal(correlation_sweep(w, sys, frame=shifted), correlation_sweep(w, sys))

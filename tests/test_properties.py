@@ -2,9 +2,9 @@
 
 The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
-``sample`` oracle built on ``source_sample``.  The pattern-table and
-XOR-fold wires of a carrier set must equal ``materialize``.  The report
-writer must equal ``json.dumps(indent=2)``.  Examples are drawn
+``sample`` oracle built on ``source_sample``.  A carrier set read off
+its ladder frame must equal the sweep of its materialized wire.  The
+report writer must equal ``json.dumps(indent=2)``.  Examples are drawn
 deterministically, so the suite stays reproducible.
 """
 
@@ -16,13 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import noisebits.hyperspace as hyperspace_module
 import noisebits.window as window_module
 from noisebits.cli import _json, _records
 from noisebits.expr import Product, Superposition, sample, shift
 from noisebits.hyperspace import (
-    _fold_wire,
-    _table_wire,
+    DEFAULT_MAX_N,
     add_correlations,
     carrier_set_readout,
     correlation_sweep,
@@ -31,12 +29,12 @@ from noisebits.hyperspace import (
     encode_string,
     format_bits,
     int_to_bits,
-    ladder_frame,
+    readout,
     walsh_hadamard,
 )
 from noisebits.reference import build_reference_system
 from noisebits.source import BLOCK, NoiseSource, sample_block, sign_bits, source_sample
-from noisebits.window import Window, correlate, materialize, negate, product_words, unpack_bits
+from noisebits.window import correlate, materialize, negate, product_words, unpack_bits
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -257,24 +255,18 @@ BLOCK_EDGES = [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
 
 
 def assert_wire_paths_agree(seed, n_eff, values, length, d):
-    """The pattern table, the XOR fold from the ladder frame, and
-    ``materialize`` of the shifted set give the same int32 wire, and the
-    sweep reads the same rhos off each, with or without the shared frame."""
+    """``carrier_set_readout``, which never builds the wire, gives the rhos
+    and hits of the sweep over ``materialize`` of the shifted set."""
     sys = build_reference_system(seed, n_eff)
+    max_n = max(n_eff, DEFAULT_MAX_N)
     expr = shift(encode_set(sys, [int_to_bits(v, n_eff) for v in values]), d)
-    want = materialize(sys.source, expr, 0, length)
-    frame = ladder_frame(seed, n_eff, 0, length, d)
-    table, fold = _table_wire(frame, values), _fold_wire(frame, values)
-    assert table.dtype == fold.dtype == want.ints.dtype == np.int32
-    assert table.tolist() == fold.tolist() == want.ints.tolist()
-    rhos = correlation_sweep(want, sys)
-    for ints in (table, fold):
-        wire = Window(0, length, seed, None, ints=ints)
-        assert np.array_equal(correlation_sweep(wire, sys, frame=frame), rhos)
-    assert np.array_equal(carrier_set_readout(sys, values, length, d)[0], rhos)
+    want = readout(materialize(sys.source, expr, 0, length), sys, max_n=max_n)
+    got = carrier_set_readout(sys, values, length, d, max_n=max_n)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
 
 
-@pytest.mark.parametrize("n_eff", range(1, 15))
+@pytest.mark.parametrize("n_eff", [*range(1, 15), 17])
 @settings(PROPERTY, max_examples=5)
 @given(seed=seeds, d=st.integers(0, 3), data=st.data())
 def test_carrier_set_wire_paths_agree(n_eff, seed, d, data):
@@ -291,29 +283,27 @@ def test_carrier_set_wire_paths_agree_on_every_string(n_eff, length):
     assert_wire_paths_agree(n_eff, n_eff, range(2**n_eff), length, 3)
 
 
-@pytest.mark.parametrize("n_eff, m, length, d, path", [  # table cost vs m * fold cost
-    (6, 40, BLOCK + 1, 2, "_table_wire"),     # 184_772 < 40 * 67_201
-    (6, 2, BLOCK + 1, 0, "_fold_wire"),       # 184_772 > 2 * 67_201
-    (14, 12, 10_000, 0, "_fold_wire"),        # 778_752 > 12 * 61_200
-    (14, 13, 10_000, 1, "_table_wire"),       # 778_752 < 13 * 61_200
-    (10, 5, 10_000, 3, "_fold_wire"),         # 260_480 > 5 * 48_400
-    (10, 6, 10_000, 2, "_table_wire"),        # 260_480 < 6 * 48_400
-    (12, 1, 2 * BLOCK + 7, 3, "_fold_wire"),  # 466_332 > 1 * 166_407
-    (3, 8, 1, 2, "_table_wire"),              # 60_052 < 8 * 16_001
-    (3, 1, 1, 0, "_fold_wire"),               # 60_052 > 1 * 16_001
-])
-def test_cost_rule_picks_the_wire_path(monkeypatch, n_eff, m, length, d, path):
-    called = []
-    for name in ("_table_wire", "_fold_wire"):
-        real = getattr(hyperspace_module, name)
-        monkeypatch.setattr(hyperspace_module, name,
-                            lambda frame, values, name=name, real=real:
-                            called.append(name) or real(frame, values))
-    sys = build_reference_system(17, n_eff)
-    values = list(range(0, 2**n_eff, 2**n_eff // m))[:m]
-    rhos = carrier_set_readout(sys, values, length, d)[0]
-    wire = materialize(sys.source, shift(encode_set(
-        sys, [int_to_bits(v, n_eff) for v in values]), d), 0, length)
-    assert called == [path]
-    assert np.array_equal(rhos, correlation_sweep(wire, sys))
+@pytest.mark.parametrize("d", [0, 2])
+def test_carrier_set_readout_past_16_bit_patterns(d):
+    """Past n_eff 16 the flip pattern is uint32, read by both the d = 0
+    pattern count and the shifted weights."""
+    values = [0, 12_345, 1 << 16, (1 << 17) - 1]
+    assert_wire_paths_agree(17, 17, values, BLOCK + 1, d)
 
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("n_eff, bound", [(10, 6), (17, 9)])
+def test_carrier_set_readout_holds_no_wire(n_eff, bound, d):
+    """A readout peaks at the hashed sign bits plus the frame's int8 base
+    and its pattern: 4 bytes a sample with a uint16 pattern, 6 with a
+    uint32 one past n_eff 16, where the 2**17 totals add about 3 more at
+    this length.  A window-sized int32 wire would add 4."""
+    length = 2**20
+    sys = build_reference_system(5, n_eff)
+    tracemalloc.start()
+    try:
+        carrier_set_readout(sys, range(0, 1 << n_eff, 2**n_eff // 50), length, d, max_n=n_eff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * length
