@@ -59,7 +59,6 @@ from .reference import (
 )
 from .source import DEFAULT_SEED, MAX_INDEX, NoiseSource, mix64, sample_block, source_sample
 from .window import (
-    CorrelationEstimate,
     Window,
     correlate,
     dump_window,

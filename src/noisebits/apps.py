@@ -21,6 +21,7 @@ from .hyperspace import (
     DEFAULT_MAX_N,
     DEFAULT_THRESHOLD,
     BitString,
+    _ladder_string,
     add_correlations,
     bits_to_int,
     carrier_set_readout,
@@ -56,17 +57,8 @@ def holographic_map(bits: Sequence[int], steps: int = 1) -> BitString | OutOfRan
     steps = int(steps)
     if steps < 0:
         raise ValueError("shifts are forward-only")
-    n = len(s)
-    offsets = [2 * i + b + steps for i, b in enumerate(s)]
-    if offsets and max(offsets) > 2 * n - 1:
-        return OutOfRange("ladder-overflow")
-    slots = [o // 2 for o in offsets]
-    if len(set(slots)) != n:
-        return OutOfRange("bit-collision")
-    out = [0] * n
-    for o in offsets:
-        out[o // 2] = o % 2
-    return tuple(out)
+    image = _ladder_string([2 * i + b + steps for i, b in enumerate(s)], len(s))
+    return OutOfRange(image) if isinstance(image, str) else image
 
 
 def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
@@ -123,9 +115,9 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     ba = shift(multiply(x, ref), d)        # B after A
     w_ab, w_ba = materialize_many(sys.source, (ab, ba), 0, length)
     cross = correlate(w_ab, w_ba)
-    tolerance = 5.0 * cross.sigma
-    self_ab = correlate(w_ab, w_ab).rho
-    self_ba = correlate(w_ba, w_ba).rho
+    tolerance = 5.0 * length ** -0.5
+    self_ab = correlate(w_ab, w_ab)
+    self_ba = correlate(w_ba, w_ba)
     equal = ab == ba
     return {
         "seed": sys.seed,
@@ -139,11 +131,11 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
         "ab": canonical_str(ab),
         "ba": canonical_str(ba),
         "structurally_equal": equal,
-        "cross_rho": cross.rho,
+        "cross_rho": cross,
         "self_rho_ab": self_ab,
         "self_rho_ba": self_ba,
         "tolerance": tolerance,
-        "ok": (not equal) and abs(cross.rho) <= tolerance
+        "ok": (not equal) and abs(cross) <= tolerance
               and self_ab == 1.0 and self_ba == 1.0,
     }
 
@@ -213,9 +205,8 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
             if assignment[(j, c)] == d:
                 restored.append(f"V_{j}_{c}")
 
-    sigma = 1.0 / length ** 0.5
-    uncomp_ok = (uncompensated.rho == 1.0) if r == 0 else \
-        abs(uncompensated.rho) <= 5.0 * sigma
+    uncomp_ok = (uncompensated == 1.0) if r == 0 else \
+        abs(uncompensated) <= 5.0 * (1.0 / length ** 0.5)
     return {
         "seed": sys.seed,
         "N": sys.n_bits,
@@ -226,12 +217,12 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
         "L": length,
         "assignment": {f"V_{j}_{c}": assignment[(j, c)]
                        for j in range(1, sys.n_eff + 1) for c in (0, 1)},
-        "uncompensated_rho": uncompensated.rho,
-        "compensated_rho": compensated.rho,
-        "compensated_exact": compensated.rho == 1.0
+        "uncompensated_rho": uncompensated,
+        "compensated_rho": compensated,
+        "compensated_exact": compensated == 1.0
                              and compensated_expr == hidden,
         "global_shift": d,
         "restored": restored,
         "restored_count": len(restored),
-        "ok": uncomp_ok and compensated.rho == 1.0,
+        "ok": uncomp_ok and compensated == 1.0,
     }

@@ -159,7 +159,7 @@ def _cmd_capacity(args: argparse.Namespace) -> Result:
 def _cmd_ortho(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
     labels = sys_.labels()
-    rows = [[est.rho for est in row] for row in orthogonality_matrix(sys_, args.l, args.start)]
+    rows = orthogonality_matrix(sys_, args.l, args.start)
     max_offdiag = max(abs(rho) for i, row in enumerate(rows)
                       for j, rho in enumerate(row) if i != j)
     return Result({"seed": sys_.seed, "N": args.n, "k": args.k, "L": args.l,

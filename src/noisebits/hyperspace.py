@@ -83,16 +83,26 @@ def encode_string(sys: ReferenceSystem, bits: Sequence[int]) -> Product:
     return Product(tuple(2 * i + b for i, b in enumerate(s)))
 
 
-def product_to_string(p: Product) -> BitString:
-    """Inverse of :func:`encode_string`; rejects partial or clashing carriers."""
-    n = len(p.offsets)
+def _ladder_string(offsets: Sequence[int], n: int) -> BitString | str:
+    """The n-bit string whose carrier has these ladder offsets, or why none
+    does: "ladder-overflow" (an offset past 2n - 1), else "bit-collision"."""
+    if any(o >= 2 * n for o in offsets):
+        return "ladder-overflow"
     out = [-1] * n
-    for o in p.offsets:
+    for o in offsets:
         slot, b = divmod(o, 2)
-        if slot >= n or out[slot] != -1:
-            raise ValueError(f"{p} is not a full product-string carrier")
+        if out[slot] != -1:
+            return "bit-collision"
         out[slot] = b
     return tuple(out)
+
+
+def product_to_string(p: Product) -> BitString:
+    """Inverse of :func:`encode_string`; rejects partial or clashing carriers."""
+    s = _ladder_string(p.offsets, len(p.offsets))
+    if isinstance(s, str):
+        raise ValueError(f"{p} is not a full product-string carrier")
+    return s
 
 
 def encode_integer(sys: ReferenceSystem, value: int) -> Product:
@@ -126,7 +136,6 @@ class DetectionResult:
     rho: float
     threshold: float
     present: bool
-    sigma_bound: float
 
 
 def _signal_members(window: Window) -> int:
@@ -152,11 +161,8 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
     _check_same_source(signal_window, sys)
     candidate = materialize(sys.source, encode_string(sys, bits),
                             signal_window.start, signal_window.length)
-    est = correlate(signal_window, candidate)
-    m = _signal_members(signal_window)
-    bound = (max(m - 1, 0) ** 0.5) / (signal_window.length ** 0.5)
-    return DetectionResult(rho=est.rho, threshold=threshold,
-                           present=est.rho > threshold, sigma_bound=bound)
+    rho = correlate(signal_window, candidate)
+    return DetectionResult(rho=rho, threshold=threshold, present=rho > threshold)
 
 
 def ladder_frame(seed: int, n_eff: int, start: int, length: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .expr import Product
 from .source import NoiseSource, as_source
-from .window import CorrelationEstimate, correlate, materialize_many
+from .window import correlate, materialize_many
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def build_reference_system(source: NoiseSource | int, n_bits: int,
 
 
 def orthogonality_matrix(sys: ReferenceSystem, length: int,
-                         start: int = 0) -> list[list[CorrelationEstimate]]:
+                         start: int = 0) -> list[list[float]]:
     """All pairwise correlations of the reference family.
 
     Diagonal entries are exactly 1.0 and the matrix is symmetric; the
@@ -92,13 +92,11 @@ def orthogonality_matrix(sys: ReferenceSystem, length: int,
     """
     windows = materialize_many(sys.source, sys.references(), start, length)
     n = len(windows)
-    matrix: list[list[CorrelationEstimate | None]] = [[None] * n for _ in range(n)]
+    matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            est = correlate(windows[i], windows[j])
-            matrix[i][j] = est
-            matrix[j][i] = est
-    return matrix  # type: ignore[return-value]
+            matrix[i][j] = matrix[j][i] = correlate(windows[i], windows[j])
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -86,19 +86,6 @@ class Window:
         return self.start == other.start and self.length == other.length
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Time-average of a per-sample product over a finite window."""
-
-    rho: float
-    window_len: int
-    sigma: float
-
-    @classmethod
-    def from_sum(cls, total: int, length: int) -> "CorrelationEstimate":
-        return cls(rho=total / length, window_len=length, sigma=length ** -0.5)
-
-
 #: Samples per block of :func:`materialize_many`: a multiple of 64, so
 #: blocks pack into whole words, and at one byte per sample as large as
 #: ``BLOCK`` is at eight, so a block's frame and fold stay in cache.
@@ -190,7 +177,7 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
     return [windows[e] for e in requested]
 
 
-def correlate(a: Window, b: Window) -> CorrelationEstimate:
+def correlate(a: Window, b: Window) -> float:
     """Mean per-sample product of two windows of one seed and frame."""
     if a.seed != b.seed:
         raise ValueError(f"windows come from different source seeds: {a.seed} vs {b.seed}")
@@ -200,16 +187,8 @@ def correlate(a: Window, b: Window) -> CorrelationEstimate:
         )
     L = a.length
     if a.words is not None and b.words is not None:
-        h = popcount(a.words ^ b.words)
-        return CorrelationEstimate.from_sum(L - 2 * h, L)
-    if a.words is not None or b.words is not None:
-        packed, ints = (a, b) if a.words is not None else (b, a)
-        bits = unpack_bits(packed.words, L).astype(np.int64)
-        v = ints.ints.astype(np.int64)
-        total = 2 * int(bits @ v) - int(v.sum())
-        return CorrelationEstimate.from_sum(total, L)
-    total = int(a.ints.astype(np.int64) @ b.ints.astype(np.int64))
-    return CorrelationEstimate.from_sum(total, L)
+        return (L - 2 * popcount(a.words ^ b.words)) / L
+    return int(a.values.astype(np.int64) @ b.values.astype(np.int64)) / L
 
 
 def negate(w: Window) -> Window:

@@ -42,8 +42,8 @@ def test_criterion_1_orthogonality():
     matrix = orthogonality_matrix(sys, 10**6)
     elapsed = time.perf_counter() - t0
     size = 2 * sys.n_eff
-    diag_ok = all(matrix[i][i].rho == 1.0 for i in range(size))
-    max_offdiag = max(abs(matrix[i][j].rho)
+    diag_ok = all(matrix[i][i] == 1.0 for i in range(size))
+    max_offdiag = max(abs(matrix[i][j])
                       for i in range(size) for j in range(size) if i != j)
     ok = diag_ok and max_offdiag <= 5e-3 and elapsed < 5.0
     report(1, f"orthogonality N=8 L=1e6 (max offdiag {max_offdiag:.2e}, {elapsed:.2f}s)", ok)
@@ -172,7 +172,7 @@ def test_criterion_8_algebraic_properties():
         wa = materialize(src, rand_product(), 0, 4096)
         wb = materialize(src, rand_product(), 0, 4096)
         naive_total = int(wa.values.astype(np.int64) @ wb.values.astype(np.int64))
-        if correlate(wa, wb).rho != naive_total / 4096:
+        if correlate(wa, wb) != naive_total / 4096:
             ok = False
     report(8, "algebra and correlator equivalences, 4x1000 randomized cases", ok)
     assert ok

@@ -231,6 +231,10 @@ GOLDEN = {
         "3165e4e996976128b57f871399b3247c555c10b8c4539b28818c5006b0dcccca"),
     "noncommute-all": (["noncommute", "--n", "1", "--l", "4096"], True, True,
         "3751072b3fa87a5d4f80b2e39198ac0fec0243c842bcfa2f17d09e3a4b9ad315"),
+    # 5 * L**-0.5 is inexact here, so the printed tolerance pins its expression
+    "noncommute-inexact-l": (["noncommute", "--n", "2", "--i", "2", "--b", "1",
+                              "--l", "50000"], True, True,
+        "3735e7b53e0e8cee9efa8be6d0f0d78c56b272a7a13af786812aba162f857bed"),
     "randshift": (["randshift", "--n", "2", "--l", "4096"], True, True,
         "e76a4e6fb9caf3b8e6e23906194c4e6659d333b1f5f63e67e5f59d9c0ce74754"),
     "randshift-global": (["randshift", "--n", "2", "--i", "2", "--b", "1", "--repeats",

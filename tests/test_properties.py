@@ -4,10 +4,13 @@ The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
 ``sample`` oracle built on ``source_sample``.  A carrier set read off
 its ladder frame must equal the sweep of its materialized wire.  The
-report writer must equal ``json.dumps(indent=2)``.  Examples are drawn
+report writer must equal ``json.dumps(indent=2)``.  A dumped window
+must load back unchanged, and every strict prefix of its dump, or the
+dump with one byte appended, must raise ValueError.  Examples are drawn
 deterministically, so the suite stays reproducible.
 """
 
+import io
 import json
 import tracemalloc
 
@@ -34,7 +37,15 @@ from noisebits.hyperspace import (
 )
 from noisebits.reference import build_reference_system
 from noisebits.source import BLOCK, NoiseSource, sample_block, sign_bits, source_sample
-from noisebits.window import correlate, materialize, negate, product_words, unpack_bits
+from noisebits.window import (
+    correlate,
+    dump_window,
+    load_window,
+    materialize,
+    negate,
+    product_words,
+    unpack_bits,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -59,7 +70,7 @@ def test_sweep_equals_per_candidate_correlate(seed, n_eff, start, length, data,
         wire = negate(wire)
     rhos = correlation_sweep(wire, sys)
     expected = [correlate(wire, materialize(sys.source, encode_integer(sys, v),
-                                            start, length)).rho
+                                            start, length))
                 for v in range(2**n_eff)]
     assert np.array_equal(rhos, np.array(expected))
 
@@ -88,7 +99,7 @@ def test_sweep_across_blocks_equals_per_candidate_correlate(packed):
         sys, [int_to_bits(v, n_eff) for v in (1, 5, 12)])
     wire = negate(materialize(sys.source, expr, start, length))
     expected = [correlate(wire, materialize(sys.source, encode_integer(sys, v),
-                                            start, length)).rho
+                                            start, length))
                 for v in range(2**n_eff)]
     assert np.array_equal(correlation_sweep(wire, sys), np.array(expected))
 
@@ -307,3 +318,26 @@ def test_carrier_set_readout_holds_no_wire(n_eff, bound, d):
     finally:
         tracemalloc.stop()
     assert peak < bound * length
+
+
+@PROPERTY
+@given(seed=seeds, start=st.integers(0, 2**40), length=st.integers(1, 300),
+       offsets=st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True),
+       packed=st.booleans(), provenance=st.booleans(), extra=st.integers(0, 255))
+def test_dump_load_round_trip_and_malformed_dumps(seed, start, length, offsets, packed,
+                                                  provenance, extra):
+    expr = Product(tuple(offsets)) if packed else Superposition(
+        tuple(Product((o,)) for o in offsets))
+    w = materialize(seed, expr, start, length)
+    if not provenance:
+        w = negate(w)  # drops expr; a dump then carries an empty expression
+    buf = io.BytesIO()
+    dump_window(w, buf)
+    raw = buf.getvalue()
+    back = load_window(io.BytesIO(raw))
+    assert (back.seed, back.start, back.length, back.expr) == (seed, start, length, w.expr)
+    assert (back.words is None, back.ints is None) == (w.words is None, w.ints is None)
+    assert np.array_equal(back.values, w.values)
+    for malformed in (*(raw[:cut] for cut in range(len(raw))), raw + bytes([extra])):
+        with pytest.raises(ValueError):
+            load_window(io.BytesIO(malformed))
