@@ -12,8 +12,11 @@ base * prod_{i in c} f_i.  A readout op hashes one ladder frame of
 L + 2*n_eff - 1 (+ d) samples and derives every sample's base and flip
 pattern from it.  The sweep bins wire * base by pattern into 2**n_eff
 int64 totals, ``source.BLOCK`` samples at a time; their Walsh-Hadamard
-transform (Fino & Algazi, 1976) is every candidate's total, exact until
-one division by L, in O(L + n_eff * 2**n_eff).  Run backwards, the
+transform (Fino & Algazi, 1976), Kronecker factors of at most 32 x 32 in
+one float64 matmul each, is every candidate's total in O(L + n_eff *
+2**n_eff).  Each partial sum is an integer of size <= sum|totals| <= L*m,
+so totals are exact, for any BLAS thread count, until one division by L;
+sum|x| >= 2**53 raises OverflowError.  Run backwards, the
 identity gives a set S's wire, base * W_S[pattern] with W_S the
 transform of S's indicator, so a carrier set is read without its wire:
 at d = 0, base**2 = 1 makes the histogram the pattern count times W_S;
@@ -165,14 +168,18 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
     return DetectionResult(rho=rho, threshold=threshold, present=rho > threshold)
 
 
-def ladder_frame(seed: int, n_eff: int, start: int, length: int,
-                 d: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1) of the samples
-    [start, start + length + d), from one hash of [start, start + length + 2*n_eff - 1 + d)."""
+def _check_frame(length: int, d: int) -> None:
     if d < 0:  # expr.shift's check, made before the length check
         raise ValueError("negative shifts are not represented; shift the other operand")
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
+
+
+def ladder_frame(seed: int, n_eff: int, start: int, length: int,
+                 d: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1) of the samples
+    [start, start + length + d), from one hash of [start, start + length + 2*n_eff - 1 + d)."""
+    _check_frame(length, d)
     span = length + d
     bits = sign_bits(seed, start, span + 2 * n_eff - 1)
     base = np.empty(span, dtype=np.int8)
@@ -220,35 +227,28 @@ def correlation_sweep(signal_window: Window, sys: ReferenceSystem,
         end = min(pos + BLOCK, length)
         weight = np.multiply(signal[pos:end], base[pos:end], dtype=np.int64)
         np.add.at(totals, pattern[pos:end], weight)
-    walsh_hadamard(totals)
-    return totals / length
+    return walsh_hadamard(totals) / length
 
 
-def _butterflies(totals: np.ndarray, levels: range) -> None:
-    """In-place butterflies (lo, hi) -> (lo + hi, lo - hi) across bit i
-    of the index, for each i in ``levels``."""
-    for i in levels:
-        pairs = totals.reshape(-1, 2, 1 << i)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        lo += hi
-        hi *= -2
-        hi += lo
+#: The 32 x 32 Sylvester-Hadamard matrix; its top-left 2**b block is H_(2**b).
+_H32 = 1.0 - 2 * (np.bitwise_count(np.arange(32)[:, None] & np.arange(32)) & 1)
 
 
-def walsh_hadamard(totals: np.ndarray) -> None:
-    """Unnormalized Walsh-Hadamard transform of a 2**n integer vector, in
-    place.  Butterflies across a low index bit would run on rows of 1, 2,
-    4... elements, so the high n - n//2 bits are done first, then the
-    index bits are swapped by a transpose, the former low bits are done
-    as high bits, and the transpose is undone.  The levels commute and
-    integer sums are exact, so the result equals the plain level order."""
-    n = totals.size.bit_length() - 1
-    low = n // 2
-    grid = totals.reshape(-1, 1 << low)  # [high bits, low bits]
-    _butterflies(totals, range(low, n))
-    swapped = np.ascontiguousarray(grid.T)
-    _butterflies(swapped.reshape(-1), range(n - low, n))
-    grid[...] = swapped.T
+def walsh_hadamard(x: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a 2**n integer vector, in float64.
+    A step multiplies the low b <= 5 index bits by H_(2**b), writing the result
+    transposed into the other buffer so those bits rotate to the top; ceil(n / 5)
+    steps restore the order.  Column 0 of H is +1, so no output is -0.0."""
+    n = x.size.bit_length() - 1
+    y = np.array(x, dtype=np.float64)
+    buf = np.empty_like(y)
+    if not np.abs(y, out=buf).sum() < 2.0**53:
+        raise OverflowError("Walsh-Hadamard input has sum|x| >= 2**53; float64 would round")
+    for j in range(steps := -(-n // 5)):
+        b = (n + j) // steps  # these b sum to n
+        np.matmul(_H32[:1 << b, :1 << b], y.reshape(-1, 1 << b).T, out=buf.reshape(1 << b, -1))
+        y, buf = buf, y
+    return y
 
 
 def readout(signal_window: Window, sys: ReferenceSystem,
@@ -267,12 +267,13 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
     ``values`` (ints) shifted by d, binned straight off the ladder frame
     without building the wire; see the module docstring."""
     n = sys.n_eff
-    base, pattern = ladder_frame(sys.seed, n, 0, length, d)
+    _check_frame(length, d)
     _check_threshold(threshold)
     _check_capacity(n, max_n)
+    base, pattern = ladder_frame(sys.seed, n, 0, length, d)
     table = np.zeros(1 << n, dtype=np.int32)
     np.add.at(table, list(values), 1)
-    walsh_hadamard(table)  # W_S: the wire is base * W_S[pattern]
+    table = walsh_hadamard(table).astype(np.int32)  # W_S: the wire is base * W_S[pattern]
     totals = np.zeros(1 << n, dtype=np.int64)
     for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
         end = min(pos + BLOCK, length)
@@ -285,8 +286,7 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
         np.add.at(totals, pattern[pos:end], weight)
     if d == 0:
         totals *= table
-    walsh_hadamard(totals)
-    rhos = totals / length
+    rhos = walsh_hadamard(totals) / length
     return rhos, np.flatnonzero(rhos > threshold).tolist()
 
 

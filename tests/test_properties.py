@@ -183,13 +183,42 @@ def plain_butterflies(totals):
 
 
 @PROPERTY
-@given(n_eff=st.integers(0, 14), seed=st.integers(0, 2**32 - 1))
+@given(n_eff=st.sampled_from([*range(15), 17, 20]), seed=st.integers(0, 2**32 - 1))
 def test_walsh_hadamard_equals_plain_butterflies(n_eff, seed):
-    totals = np.random.default_rng(seed).integers(-2**40, 2**40, 1 << n_eff)
+    """Exact below the float64 bound: sum|x| < 2**53, so every butterfly
+    sum is an integer float64 holds exactly."""
+    bound = 2**53 // (1 << n_eff) - 1
+    totals = np.random.default_rng(seed).integers(-bound, bound, 1 << n_eff, endpoint=True)
     want = totals.copy()
     plain_butterflies(want)
-    walsh_hadamard(totals)
-    assert np.array_equal(totals, want)
+    got = walsh_hadamard(totals)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("totals, exact", [([2**52, -(2**52)], False),
+                                           ([2**52, -(2**52) + 1], True),
+                                           ([2**53 - 3, 1, -1, 0], True),
+                                           ([2**53 - 3, 1, -1, 1], False)])
+def test_walsh_hadamard_refuses_inputs_float64_would_round(totals, exact):
+    totals = np.array(totals)
+    if exact:
+        want = totals.copy()
+        plain_butterflies(want)
+        assert np.array_equal(walsh_hadamard(totals), want)
+    else:
+        with pytest.raises(OverflowError, match="2\\*\\*53"):
+            walsh_hadamard(totals)
+
+
+@PROPERTY
+@given(n_eff=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_walsh_hadamard_of_integers_has_no_negative_zero(n_eff, seed):
+    """A -0.0 total would print as a -0.0 rho and change report bytes."""
+    totals = np.random.default_rng(seed).integers(-1, 1, 1 << n_eff, endpoint=True)
+    got = walsh_hadamard(totals)
+    assert not np.signbit(got[got == 0]).any()
+    assert not np.signbit(walsh_hadamard(np.zeros(1 << n_eff, dtype=np.int64))).any()
 
 
 @pytest.mark.parametrize("n_eff", range(1, 12))
