@@ -31,7 +31,9 @@ from .apps import ShiftAssignment, holographic_demo, noncommute_demo, random_shi
 from .hyperspace import (
     DEFAULT_MAX_N,
     DEFAULT_THRESHOLD,
+    Correlations,
     encode_string,
+    format_value,
     int_to_bits,
     parse_bits,
     round_trip_run,
@@ -74,7 +76,7 @@ def _float(v: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-#: Encoders of the exact scalar types a record may hold.
+#: Encoders of the exact scalar types, for list items and dict values.
 _SCALARS = {str: _str, float: _float, int: int.__repr__,
             bool: _WORDS.__getitem__, type(None): _WORDS.__getitem__}
 
@@ -100,36 +102,19 @@ def _key(k) -> str:
     return _str(text)
 
 
-def _records(rows: list | tuple, nl: str) -> list[str] | None:
-    """The items of a list of two or more dicts that share one order of
-    str keys and hold only scalars of the types in ``_SCALARS``, each
-    written from one % template; None for any other list."""
-    first = rows[0]
-    if (len(rows) < 2 or set(map(type, rows)) != {dict} or set(map(type, first)) != {str}
-            or not set(map(type, first.values())) <= _SCALARS.keys()):
-        return None
-    keys = tuple(first)
-    if list(map(tuple, rows)).count(keys) != len(rows):
-        return None
-    cells = []
-    for column in zip(*map(dict.values, rows)):
-        types = set(map(type, column))
-        if not types <= _SCALARS.keys():
-            return None
-        encode = _SCALARS[types.pop()] if len(types) == 1 else _scalar
-        if encode is _float and math.isfinite(sum(column)):  # no NaN or infinity
-            encode = float.__repr__
-        cells.append(map(encode, column))
+@functools.cache
+def _row_heads(n_eff: int, nl: str) -> tuple[str, ...]:
+    """Each candidate's correlations row up to its rho, indented for a table at ``nl``."""
     field = nl + "    "
-    template = ("{" + field + ("," + field).join(_str(k).replace("%", "%%") + ": %s"
-                                                  for k in keys) + nl + "  }")
-    return list(map(template.__mod__, zip(*cells)))
+    return tuple("{" + field + '"candidate": ' + _str(format_value(v, n_eff)) + "," + field
+                 + '"rho": ' for v in range(1 << n_eff))
 
 
 def _json(obj, nl: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for every acyclic
     value ``json`` writes without a ``default``; ``nl`` is the newline
-    and indent of the level ``obj`` sits at."""
+    and indent of the level ``obj`` sits at.  A :class:`Correlations` of
+    finite floats is written from its rho column in one join."""
     text = _scalar(obj)
     if text is not None:
         return text
@@ -137,9 +122,13 @@ def _json(obj, nl: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = _records(obj, nl) or [
-            enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if (isinstance(obj, Correlations) and set(map(type, obj.rhos)) == {float}
+                and math.isfinite(sum(obj.rhos))):  # no NaN or infinity
+            rows = map(str.__add__, _row_heads(obj.n_eff, nl), map(float.__repr__, obj.rhos))
+            return "[" + inner + (nl + "  }," + inner).join(rows) + nl + "  }" + nl + "]"
+        return "[" + inner + ("," + inner).join([
+            enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner)
+            for v in obj]) + nl + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -270,10 +270,10 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
     _check_frame(length, d)
     _check_threshold(threshold)
     _check_capacity(n, max_n)
-    base, pattern = ladder_frame(sys.seed, n, 0, length, d)
     table = np.zeros(1 << n, dtype=np.int32)
     np.add.at(table, list(values), 1)
     table = walsh_hadamard(table).astype(np.int32)  # W_S: the wire is base * W_S[pattern]
+    base, pattern = ladder_frame(sys.seed, n, 0, length, d)  # after W_S's float64 buffers
     totals = np.zeros(1 << n, dtype=np.int64)
     for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
         end = min(pos + BLOCK, length)
@@ -284,6 +284,7 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
                              dtype=np.int64)  # int64, so np.add.at takes its fast path
         weight *= base[pos:end]
         np.add.at(totals, pattern[pos:end], weight)
+    del base, pattern  # binned: the last transform runs without the frame
     if d == 0:
         totals *= table
     rhos = walsh_hadamard(totals) / length
@@ -301,11 +302,21 @@ def _candidate_labels(n_eff: int) -> tuple[str, ...]:
     return tuple(format_value(v, n_eff) for v in range(1 << n_eff))
 
 
+class Correlations(list):
+    """Every candidate's ``{"candidate", "rho"}`` row, keeping ``n_eff`` and the ``rhos``
+    column for the CLI to write the table from.  A snapshot: nothing in the package
+    edits it after :func:`add_correlations`, and an edit would not reach the column."""
+
+    def __init__(self, n_eff: int, rhos: np.ndarray):
+        self.n_eff, self.rhos = n_eff, rhos.tolist()
+        super().__init__([{"candidate": c, "rho": r}
+                          for c, r in zip(_candidate_labels(n_eff), self.rhos)])
+
+
 def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:
-    """Append every candidate's rho to ``report`` when n_eff <= 10."""
+    """Append every candidate's rho to ``report``, as :class:`Correlations`, when n_eff <= 10."""
     if n_eff <= 10:
-        report["correlations"] = [{"candidate": c, "rho": r} for c, r
-                                  in zip(_candidate_labels(n_eff), rhos.tolist())]
+        report["correlations"] = Correlations(n_eff, rhos)
     return report
 
 

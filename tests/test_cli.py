@@ -217,6 +217,10 @@ GOLDEN = {
         "5766827854ce2efa88e1e885858b998fab1ac3ae05a4197a79545d506242aab1"),
     "holographic-sweep": (["holographic", "--n", "2", "--l", "4096"], True, True,
         "0ebf29d6cb730e520f164c4567313dc90ad426fc536e688f12b77f8d2d25913c"),
+    # recorded before correlations tables were written from the rho column
+    "holographic-sweep-n6": (["holographic", "--n", "3", "--k", "1", "--d", "1",
+                              "--l", "4096"], True, True,
+        "f30a275bd0eef7acface6f2aab5fe71579f9f92e0769aaf2c2a04eb74dcfeaca"),
     "holographic-wide": (["holographic", "--n", "11", "--strings", "00000000000",
                           "--l", "4096"], True, True,
         "73877df646bc6637c06de63ed522352d5a39db16e3082b119625ba66b176ac6f"),

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisebits.window as window_module
-from noisebits.cli import _json, _records
+from noisebits.cli import _json
 from noisebits.expr import Product, Superposition, sample, shift
 from noisebits.hyperspace import (
     DEFAULT_MAX_N,
@@ -234,8 +234,8 @@ def test_add_correlations_labels_and_rhos(n_eff):
     assert all(type(c["rho"]) is float for c in report["correlations"])
 
 
-# Report-shaped values for the JSON writer: keys that need escaping (and a
-# "%" for the record template), non-ASCII text, every float json spells out.
+# Report-shaped values for the JSON writer: keys that need escaping or hold
+# a "%", non-ASCII text, every float json spells out.
 keys = st.one_of(st.sampled_from(["rho", "%s", "100%", '"q"', "tab\t", "é", "\u2028"]),
                  st.text(max_size=4))
 floats = st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"),
@@ -279,16 +279,29 @@ def test_json_writer_equals_json_dumps(obj):
     assert _json(obj) == json.dumps(obj, indent=2)
 
 
+#: Rhos a report's column may hold besides integer / L: the values json
+#: spells out (NaN, infinities) or writes in exponent form.
+SPECIAL_RHOS = [-0.0, float("nan"), float("inf"), -float("inf"), 1e16, 5e-324]
+
+
 @PROPERTY
-@given(rows=st.lists(st.tuples(st.text(max_size=6), floats, scalars).map(
-    lambda row: dict(zip(("candidate", "rho", "%d"), row))), min_size=2, max_size=8))
-def test_flat_records_take_the_template(rows):
-    """Flat rows of exact scalar types are written from the template, and
-    the result is still json.dumps's."""
-    if all(type(v) in (str, float, int, bool, type(None))
-           for row in rows for v in row.values()):
-        assert _records(rows, "\n") is not None
-    assert _json({"correlations": rows}) == json.dumps({"correlations": rows}, indent=2)
+@given(n_eff=st.integers(0, 10), depth=st.integers(0, 2), length=st.integers(1, 2**20),
+       seed=seeds, as_ints=st.booleans(), data=st.data())
+def test_json_writer_writes_correlations_as_json_dumps(n_eff, depth, length, seed, as_ints,
+                                                       data):
+    """A correlations table written from its rho column, at any nesting
+    depth, is json.dumps's; NaN, infinities and ints take the generic path."""
+    rng = np.random.default_rng(seed)
+    rhos = rng.integers(-length, length, 1 << n_eff, endpoint=True)
+    if not as_ints:
+        rhos = rhos / length
+        for i, value in data.draw(st.lists(st.tuples(
+                st.integers(0, (1 << n_eff) - 1), st.sampled_from(SPECIAL_RHOS)), max_size=3)):
+            rhos[i] = value
+    obj = add_correlations({"k": 0, "ok": True}, rhos, n_eff)
+    for _ in range(depth):
+        obj = {"runs": [obj, obj]}
+    assert _json(obj) == json.dumps(obj, indent=2)
 
 
 BLOCK_EDGES = [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
@@ -332,12 +345,13 @@ def test_carrier_set_readout_past_16_bit_patterns(d):
 
 
 @pytest.mark.parametrize("d", [0, 1])
-@pytest.mark.parametrize("n_eff, bound", [(10, 6), (17, 9)])
+@pytest.mark.parametrize("n_eff, bound", [(10, 6), (17, 8)])
 def test_carrier_set_readout_holds_no_wire(n_eff, bound, d):
     """A readout peaks at the hashed sign bits plus the frame's int8 base
     and its pattern: 4 bytes a sample with a uint16 pattern, 6 with a
-    uint32 one past n_eff 16, where the 2**17 totals add about 3 more at
-    this length.  A window-sized int32 wire would add 4."""
+    uint32 one past n_eff 16, where the 2**17 totals and W_S table add up
+    to 2 more at this length.  The frame is released before the last
+    transform's two float64 buffers.  A window-sized int32 wire would add 4."""
     length = 2**20
     sys = build_reference_system(5, n_eff)
     tracemalloc.start()
