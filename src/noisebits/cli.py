@@ -52,18 +52,20 @@ class Result(NamedTuple):
     ok: bool = True         # False fails the verdict without an "ok" field
     body: str | None = None  # --out text in place of the JSON report
     body_on_stdout: bool = False  # without --out, print the body, not the summary
-    table: tuple[Sequence[str], Iterable[Sequence]] | None = None  # --csv columns, rows
+    table: tuple[Sequence[str], Iterable[Sequence | str]] | None = None  # --csv columns, rows
 
 
-def _csv(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """A header line, then one line per row; floats are written as %.6g,
-    and a cell holding ``,`` or ``"`` is quoted as RFC 4180 asks."""
-    def cell(v) -> str:
-        text = f"{v:.6g}" if isinstance(v, float) else str(v)
-        if "," in text or '"' in text:
-            text = '"' + text.replace('"', '""') + '"'
-        return text
-    return "".join(",".join(map(cell, row)) + "\n" for row in (columns, *rows))
+def _cell(v) -> str:
+    """A CSV cell: a float is written as %.6g, and a cell holding ``,`` or
+    ``"`` is quoted as RFC 4180 asks."""
+    text = "%.6g" % v if isinstance(v, float) else str(v)
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+
+def _csv(columns: Sequence[str], rows: Iterable[Sequence | str]) -> str:
+    """A header line, then one line per row; a ``str`` row is lines already written."""
+    return "".join(row if isinstance(row, str) else ",".join(map(_cell, row)) + "\n"
+                   for row in (columns, *rows))
 
 
 _str = json.encoder.encode_basestring_ascii
@@ -189,8 +191,11 @@ def _cmd_holographic(args: argparse.Namespace) -> Result:
                    f" expected={{{','.join(r['expected'])}}} ok={str(r['ok']).lower()}"
                    for r in runs],
                   table=(("input", "candidate", "rho"),
-                         ((",".join(r["input"]), c["candidate"], c["rho"])
-                          for r in runs for c in r.get("correlations", []))))
+                         # a run's lines in one join: its input cell quoted once, then the
+                         # label and %.6g rho columns (bit strings hold no "%")
+                         ("".join(map((_cell(",".join(r["input"])) + ",%s,%.6g\n").__mod__,
+                                      zip(c.labels, c.rhos)))
+                          for r in runs if (c := r.get("correlations")))))
 
 
 def _cmd_noncommute(args: argparse.Namespace) -> Result:

@@ -303,14 +303,13 @@ def _candidate_labels(n_eff: int) -> tuple[str, ...]:
 
 
 class Correlations(list):
-    """Every candidate's ``{"candidate", "rho"}`` row, keeping ``n_eff`` and the ``rhos``
-    column for the CLI to write the table from.  A snapshot: nothing in the package
-    edits it after :func:`add_correlations`, and an edit would not reach the column."""
+    """Every candidate's ``{"candidate", "rho"}`` row, keeping ``n_eff`` and the ``labels``
+    and ``rhos`` columns for the CLI to write tables from.  A snapshot: nothing in the
+    package edits it after :func:`add_correlations`, and an edit would not reach a column."""
 
     def __init__(self, n_eff: int, rhos: np.ndarray):
-        self.n_eff, self.rhos = n_eff, rhos.tolist()
-        super().__init__([{"candidate": c, "rho": r}
-                          for c, r in zip(_candidate_labels(n_eff), self.rhos)])
+        self.n_eff, self.labels, self.rhos = n_eff, _candidate_labels(n_eff), rhos.tolist()
+        super().__init__([{"candidate": c, "rho": r} for c, r in zip(self.labels, self.rhos)])
 
 
 def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:

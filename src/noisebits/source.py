@@ -17,6 +17,14 @@ required to be bit-reproducible across platforms and package versions.
     mix64(x):  x ^= x >> 30;  x *= 0xBF58476D1CE4E5B9
                x ^= x >> 27;  x *= 0x94D049BB133111EB
                x ^= x >> 31
+
+sign_bits hashes blocks of ``BLOCK`` = 2**14 samples aligned to the
+sample index.  With n = a | j, a a multiple of BLOCK and j < BLOCK,
+rotl64 and mix64's first step ``x ^= x >> 30`` are linear over GF(2), so
+that step of seed ^ rotl64(n, 32) is ``_LINEAR[j]`` XOR the step of
+seed ^ rotl64(a, 32), one constant per block.  The last step leaves bit
+63 as is.  So a block takes six array passes: XOR with the table, the
+two middle steps and a comparison with 2**63.
 """
 
 from __future__ import annotations
@@ -39,17 +47,16 @@ DEFAULT_SEED = 42
 #: Keeps all index arithmetic comfortably inside 64-bit words.
 MAX_INDEX = 1 << 62
 
-#: mix64's (shift, multiplier) steps as numpy scalars.
-_MIX_STEPS = ((np.uint64(30), np.uint64(_MULT1)), (np.uint64(27), np.uint64(_MULT2)))
+#: Samples per step of the blocked loops (sign_bits, the readout sweep),
+#: a power of two so hash blocks align to the sample index.  A buffer of
+#: 8 bytes per sample, 128 KiB, stays in cache.
+BLOCK = 1 << 14
 
-#: Samples per step of the blocked loops (sign_bits, the readout sweep).
-#: A buffer of 8 bytes per sample, 128 000 bytes, stays in cache and just
-#: below malloc's 128 KiB mmap threshold, so it reuses heap pages.
-BLOCK = 16_000
-
-#: rotl64(n + j, 32) = rotl64(n, 32) + (j << 32) while n's low half does not wrap.
-_ROT_STEPS = np.arange(BLOCK, dtype=np.uint64) << np.uint64(_INDEX_ROT)
-_ROT_STEPS.setflags(write=False)
+#: mix64's first step of rotl64(j, 32) for every j < BLOCK: (j << 32) ^ (j << 2),
+#: whose bits are disjoint, so it is j * (2**32 + 4).
+_LINEAR = np.arange(BLOCK, dtype=np.uint64) * np.uint64((1 << 32) + (1 << 2))
+_LINEAR.setflags(write=False)
+_M1, _M2, _S27, _TOP = np.uint64(_MULT1), np.uint64(_MULT2), np.uint64(27), np.uint64(1 << 63)
 
 
 def mix64(x: int) -> int:
@@ -73,8 +80,7 @@ def source_sample(seed: int, n: int) -> int:
 
 def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
     """Block of sign bits as uint8; 1 encodes +1. Matches ``source_sample``.
-    Hashes BLOCK samples at a time on two reused buffers; mix64's last
-    ``x ^= x >> 31`` leaves bit 63 as is and is skipped."""
+    Hashes one aligned BLOCK at a time on two reused buffers (module docstring)."""
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     if length < 1:
@@ -84,22 +90,20 @@ def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
             f"sample index {start + length} exceeds the supported range (2**62)"
         )
     out = np.empty(length, dtype=np.uint8)
+    signs = out.view(np.bool_)
     x = np.empty(min(length, BLOCK), dtype=np.uint64)
     t = np.empty_like(x)
-    key = np.uint64(seed & MASK64)
-    pos = 0
-    while pos < length:
-        n = start + pos
-        k = min(length - pos, BLOCK, (1 << 32) - (n & 0xFFFFFFFF))
-        xk, tk = x[:k], t[:k]
-        np.add(_ROT_STEPS[:k], np.uint64((n & 0xFFFFFFFF) << 32 | n >> 32), out=xk)
-        xk ^= key
-        for shift, mult in _MIX_STEPS:
-            np.right_shift(xk, shift, out=tk)
-            xk ^= tk
-            xk *= mult
-        np.right_shift(xk, np.uint64(63), out=out[pos:pos + k], casting="unsafe")
-        pos += k
+    seed &= MASK64
+    for a in range(start - start % BLOCK, start + length, BLOCK):
+        lo, hi = max(a, start), min(a + BLOCK, start + length)
+        xk, tk = x[:hi - lo], t[:hi - lo]
+        c = seed ^ ((a << _INDEX_ROT | a >> (64 - _INDEX_ROT)) & MASK64)
+        np.bitwise_xor(_LINEAR[lo - a:hi - a], np.uint64(c ^ c >> 30), out=xk)
+        xk *= _M1
+        np.right_shift(xk, _S27, out=tk)
+        xk ^= tk
+        xk *= _M2
+        np.greater_equal(xk, _TOP, out=signs[lo - start:hi - start])
     return out
 
 

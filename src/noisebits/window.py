@@ -8,10 +8,14 @@ out of ``L``, the mean product is ``(L - 2h) / L``.
 
 Superposition windows hold the signed integer sum per sample (int32).
 
-Materializing hashes the wave once per frame (one run of sign bits per
-group of overlapping factor intervals) and XOR-folds each product from
-slices of it, one block of ``_FOLD_BLOCK`` samples at a time, so the
-frame and the fold buffer stay in cache however long the window.
+Materializing hashes the wave once per frame run (one run of sign bits
+per group of overlapping factor intervals), ``_FOLD_BLOCK`` samples per
+hash call, and packs each run into one word array: the frame costs an
+eighth of a byte per sample.  Each distinct factor offset's words are
+then derived once, as a word slice of its run or, off a word boundary,
+two shifted slices ORed together, and XORed into every product holding
+the offset.  Superposition members fold the same way and their unpacked
+bits add into the int32 sum.
 
 Correlation is computed in exact integer arithmetic and divided once at
 the end, so diagonal correlations are exactly 1.0 and results are
@@ -30,21 +34,18 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .expr import Product, StreamExpr, Superposition, canonical_str, parse_expr
-from .source import BLOCK, MAX_INDEX, NoiseSource, as_source, sign_bits
-
-
-def pack_bits(bits01: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 uint8 array into little-endian uint64 words."""
-    by = np.packbits(bits01, bitorder="little")
-    pad = (-by.size) % 8
-    if pad:
-        by = np.concatenate([by, np.zeros(pad, np.uint8)])
-    return by.view(np.uint64)
+from .source import BLOCK, MASK64, MAX_INDEX, NoiseSource, as_source, sign_bits
 
 
 def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`, truncated to ``length`` bits."""
+    """0/1 samples of packed words, truncated to ``length`` bits."""
     return np.unpackbits(words.view(np.uint8), bitorder="little", count=length)
+
+
+def _clear_padding(words: np.ndarray, length: int) -> np.ndarray:
+    """``words`` with the bits of its last word past ``length`` zeroed."""
+    words[-1:] &= np.uint64(MASK64 >> -length % 64)
+    return words
 
 
 def popcount(words: np.ndarray) -> int:
@@ -82,45 +83,36 @@ class Window:
         assert self.ints is not None
         return self.ints
 
-    def same_frame(self, other: "Window") -> bool:
-        return self.start == other.start and self.length == other.length
 
-
-#: Samples per block of :func:`materialize_many`: a multiple of 64, so
-#: blocks pack into whole words, and at one byte per sample as large as
-#: ``BLOCK`` is at eight, so a block's frame and fold stay in cache.
+#: Samples per :func:`sign_bits` call of a frame run: a multiple of 64,
+#: so each call packs into whole words, and at one byte per sample as
+#: large as ``BLOCK`` is at eight, so the bits stay in cache until packed.
 _FOLD_BLOCK = 8 * BLOCK
 
 
 def _frame(seed: int, offsets: Iterable[int], start: int,
-           length: int) -> dict[int, np.ndarray]:
-    """Sign bits of [start + o, start + o + length) for each distinct o.
-
-    Overlapping or touching intervals merge into runs, each hashed by one
-    :func:`sign_bits` call: ``P[0, 2**40]`` hashes two runs of ``length``.
-    """
+           length: int) -> dict[int, tuple[np.ndarray, int]]:
+    """Packed sign bits of [start + o, start + o + length) for each distinct
+    o: the words of o's run and o's bit position in them.  Overlapping or
+    touching intervals merge into runs (``P[0, 2**40]`` hashes two), each
+    hashed ``_FOLD_BLOCK`` samples per :func:`sign_bits` call into one word
+    array, with a spare zero word for the two-shift OR."""
     runs: list[list[int]] = []
     for o in sorted(set(offsets)):
         if runs and o <= runs[-1][-1] + length:
             runs[-1].append(o)
         else:
             runs.append([o])
-    frame: dict[int, np.ndarray] = {}
+    frame: dict[int, tuple[np.ndarray, int]] = {}
     for run in runs:
-        bits = sign_bits(seed, start + run[0], run[-1] - run[0] + length)
-        frame.update((o, bits[o - run[0]:o - run[0] + length]) for o in run)
+        size = run[-1] - run[0] + length
+        words = np.zeros(size // 64 + 2, dtype=np.uint64)
+        for pos in range(0, size, _FOLD_BLOCK):
+            packed = np.packbits(sign_bits(seed, start + run[0] + pos,
+                                           min(_FOLD_BLOCK, size - pos)), bitorder="little")
+            words.view(np.uint8)[pos // 8:pos // 8 + packed.size] = packed
+        frame.update((o, (words, o - run[0])) for o in run)
     return frame
-
-
-def _product_bits(frame: dict[int, np.ndarray], offsets: tuple[int, ...],
-                  out: np.ndarray) -> np.ndarray:
-    """0/1 samples of a product (1 encodes +1) into ``out``: the XOR fold
-    of its factors' sign bits.  An even factor count flips the fold's
-    polarity, so the fold starts from all ones."""
-    out.fill(len(offsets) % 2 == 0)
-    for o in offsets:
-        out ^= frame[o]
-    return out
 
 
 def product_words(source: NoiseSource | int, offsets: tuple[int, ...],
@@ -138,10 +130,11 @@ def materialize(source: NoiseSource | int, expr: StreamExpr,
 
 def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
                      start: int, length: int) -> list[Window]:
-    """:func:`materialize` for several expressions over one shared frame,
-    built ``_FOLD_BLOCK`` samples at a time: products are folded from the
-    block's frame slices and packed into their words, superpositions sum
-    their members' folds.  Equal expressions share one Window."""
+    """:func:`materialize` for several expressions over one shared frame:
+    each distinct offset's factor words are derived once and XORed into
+    every product holding it, superposition members included; a
+    superposition adds its members' unpacked folds, ``_FOLD_BLOCK``
+    samples at a time.  Equal expressions share one Window."""
     src = as_source(source)
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
@@ -151,29 +144,39 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
         if not isinstance(expr, (Product, Superposition)):
             raise TypeError(f"not a stream expression: {expr!r}")
     requested, exprs = exprs, list(dict.fromkeys(exprs))
-    offsets = {o for e in exprs for m in getattr(e, "members", (e,)) for o in m.offsets}
+    sums = [e for e in exprs if isinstance(e, Superposition)]
+    products = dict.fromkeys([e for e in exprs if isinstance(e, Product)]
+                             + [m for s in sums for m in s.members])
+    offsets = [o for p in products for o in p.offsets]
     if start + length + max(offsets, default=0) > MAX_INDEX:
         raise OverflowError("window reaches past the supported sample index range")
-    samples = [np.zeros((length + 63) // 64, dtype=np.uint64) if isinstance(e, Product)
-               else np.zeros(length, dtype=np.int32) for e in exprs]
-    bits = np.empty(min(length, _FOLD_BLOCK), dtype=np.uint8)  # one fold buffer
-    for pos in range(0, length, _FOLD_BLOCK):
-        k = min(_FOLD_BLOCK, length - pos)
-        frame = _frame(src.seed, offsets, start + pos, k)
-        for expr, out in zip(exprs, samples):
-            if isinstance(expr, Product):
-                packed = np.packbits(_product_bits(frame, expr.offsets, bits[:k]),
-                                     bitorder="little")
-                out.view(np.uint8)[pos // 8:pos // 8 + packed.size] = packed
-                continue
-            block = out[pos:pos + k]
-            for m in expr.members:  # members at +1, then the signed sum
-                block += _product_bits(frame, m.offsets, bits[:k])
-            block *= 2
-            block -= len(expr.members)
-    windows = {e: Window(start, length, src.seed, e, words=out) if isinstance(e, Product)
-               else Window(start, length, src.seed, e, ints=out)
-               for e, out in zip(exprs, samples)}
+    frame = _frame(src.seed, offsets, start, length)
+    n = (length + 63) // 64
+    folds = {p: np.full(n, 0 if len(p.offsets) % 2 else MASK64, dtype=np.uint64)
+             for p in products}  # an even factor count starts the fold at +1
+    factor, spill = np.empty((2, n), dtype=np.uint64)
+    for o, (run, bit) in frame.items():
+        lo, shift = divmod(bit, 64)
+        if shift:  # factor = run[lo:lo + n] shifted down by ``shift`` bits
+            np.right_shift(run[lo:lo + n], np.uint64(shift), out=factor)
+            np.left_shift(run[lo + 1:lo + n + 1], np.uint64(64 - shift), out=spill)
+            np.bitwise_or(factor, spill, out=factor)
+        for p, fold in folds.items():
+            if o in p.offsets:
+                fold ^= factor if shift else run[lo:lo + n]
+    del frame, factor, spill
+    windows = {}
+    for s in sums:
+        out = np.zeros(length, dtype=np.int32)
+        for pos in range(0, length, _FOLD_BLOCK):  # members at +1, then the signed sum
+            block = out[pos:pos + _FOLD_BLOCK]
+            for m in s.members:
+                block += unpack_bits(folds[m][pos // 64:], block.size)
+        out *= 2
+        out -= len(s.members)
+        windows[s] = Window(start, length, src.seed, s, ints=out)
+    windows.update((p, Window(start, length, src.seed, p, words=_clear_padding(folds[p], length)))
+                   for p in exprs if isinstance(p, Product))
     return [windows[e] for e in requested]
 
 
@@ -181,7 +184,7 @@ def correlate(a: Window, b: Window) -> float:
     """Mean per-sample product of two windows of one seed and frame."""
     if a.seed != b.seed:
         raise ValueError(f"windows come from different source seeds: {a.seed} vs {b.seed}")
-    if not a.same_frame(b):
+    if (a.start, a.length) != (b.start, b.length):
         raise ValueError(
             f"window frames differ: [{a.start}, +{a.length}) vs [{b.start}, +{b.length})"
         )
@@ -195,7 +198,7 @@ def negate(w: Window) -> Window:
     """Pointwise sign flip; provenance is dropped (negation has no
     expression form in the algebra)."""
     if w.words is not None:
-        return replace(w, expr=None, words=pack_bits(unpack_bits(w.words, w.length) ^ 1))
+        return replace(w, expr=None, words=_clear_padding(~w.words, w.length))
     return replace(w, expr=None, ints=-w.ints)
 
 

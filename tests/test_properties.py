@@ -2,7 +2,9 @@
 
 The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
-``sample`` oracle built on ``source_sample``.  A carrier set read off
+``sample`` oracle built on ``source_sample``: across aligned hash blocks,
+whose table must be mix64's first step, and across packed word folds,
+whose padding bits must be zero.  A carrier set read off
 its ladder frame must equal the sweep of its materialized wire.  The
 report writer must equal ``json.dumps(indent=2)``.  A dumped window
 must load back unchanged, and every strict prefix of its dump, or the
@@ -36,12 +38,22 @@ from noisebits.hyperspace import (
     walsh_hadamard,
 )
 from noisebits.reference import build_reference_system
-from noisebits.source import BLOCK, NoiseSource, sample_block, sign_bits, source_sample
+from noisebits.source import (
+    _LINEAR,
+    BLOCK,
+    MASK64,
+    MAX_INDEX,
+    NoiseSource,
+    sample_block,
+    sign_bits,
+    source_sample,
+)
 from noisebits.window import (
     correlate,
     dump_window,
     load_window,
     materialize,
+    materialize_many,
     negate,
     product_words,
     unpack_bits,
@@ -77,18 +89,36 @@ def test_sweep_equals_per_candidate_correlate(seed, n_eff, start, length, data,
 
 @PROPERTY
 @given(seed=seeds, start=st.one_of(st.integers(0, 2**40),
-                                   st.integers(1, 2**20).map(lambda k: k * 2**32 - 5000)),
+                                   st.integers(1, 2**20).map(lambda k: k * 2**32 - 5000),
+                                   st.tuples(st.integers(1, 2**40 // BLOCK), st.integers(1, 100))
+                                   .map(lambda t: t[0] * BLOCK - t[1])),
        length=st.integers(1, 3 * BLOCK + 100), data=st.data())
 def test_blocked_sign_bits_match_scalar_oracle(seed, start, length, data):
-    """Block edges and a wrap of the index's low 32 bits inside the run
-    must not change a single bit."""
+    """Both sides of every absolute index that is a multiple of BLOCK, and
+    a wrap of the index's low 32 bits inside the run, must not change a
+    single bit."""
     bits = sign_bits(seed, start, length)
     assert bits.shape == (length,) and bits.dtype == np.uint8
-    edges = {j for b in range(0, length + BLOCK, BLOCK) for j in (b - 1, b)}
+    edges = {j for b in range((-start) % BLOCK, length + 1, BLOCK) for j in (b - 1, b)}
     edges |= {(-start) % 2**32 - 1, (-start) % 2**32}
     edges |= set(data.draw(st.lists(st.integers(0, length - 1), max_size=20)))
     for j in sorted(j for j in edges if 0 <= j < length):
         assert bits[j] == (source_sample(seed, start + j) + 1) // 2
+
+
+def rotl32(n):
+    return (n << 32 | n >> 32) & MASK64
+
+
+@PROPERTY
+@given(seed=seeds, a=st.integers(0, MAX_INDEX // BLOCK - 1).map(lambda a: a * BLOCK),
+       j=st.integers(0, BLOCK - 1))
+def test_linear_table_is_mix64_first_step(seed, a, j):
+    """The first step of mix64, x ^= x >> 30, of seed ^ rotl64(a | j, 32)
+    is the table entry for j XOR the block constant for a."""
+    c = seed ^ rotl32(a)
+    x = seed ^ rotl32(a | j)
+    assert int(_LINEAR[j]) ^ c ^ (c >> 30) == x ^ (x >> 30)
 
 
 @pytest.mark.parametrize("packed", [True, False])
@@ -137,6 +167,64 @@ def test_blocked_materialize_matches_whole_window_folds():
         signed.append(want)
     got = materialize(src, Superposition(members), start, length).ints
     assert np.array_equal(got, np.sum(signed, axis=0))
+
+
+FOLD_LENGTHS = [1, 63, 64, 65, window_module._FOLD_BLOCK - 1, window_module._FOLD_BLOCK + 1]
+near = st.sampled_from([0, 1, 63, 64, 65, 127, 128, 300])  # bit positions in a run
+
+
+def padding(w):
+    """The bits of a packed window past its length."""
+    return unpack_bits(w.words, 64 * w.words.size)[w.length:]
+
+
+@settings(PROPERTY, max_examples=24)
+@given(seed=seeds, start=st.integers(0, 2**40), length=st.sampled_from(FOLD_LENGTHS),
+       products=st.lists(st.lists(st.one_of(near, near.map(lambda o: o + 2**40 + 5)),
+                                  max_size=5).map(Product), max_size=4, unique=True),
+       data=st.data())
+def test_materialize_many_packed_folds_match_sample(seed, start, length, products, data):
+    """Products folded from packed words, offsets on and off word
+    boundaries in one run and in a second run past 2**40, with even and
+    odd factor counts and the empty product, equal ``sample``; so does a
+    superposition whose members are also products of the call.  Padding
+    bits past L are zero, also after ``negate``."""
+    products = [Product((0, 64)), Product((1, 65, 2**40 + 5)), Product(), *products]
+    members = data.draw(st.lists(st.sampled_from(products), min_size=1, unique=True))
+    exprs = [*products, Superposition(tuple(members))]
+    windows = materialize_many(seed, exprs, start, length)
+    folds = {p: np.prod([np.ones(length, np.int8),
+                         *(sample_block(seed, start + o, length) for o in p.offsets)],
+                        axis=0, dtype=np.int32) for p in products}
+    fold_block = window_module._FOLD_BLOCK
+    edges = {0, 63, 64, fold_block - 1, fold_block, length - 1,
+             *data.draw(st.lists(st.integers(0, length - 1), max_size=8))}
+    edges = sorted(j for j in edges if j < length)
+    for expr, w in zip(exprs, windows):
+        want = folds[expr] if isinstance(expr, Product) else sum(folds[m] for m in members)
+        assert np.array_equal(w.values, want)
+        assert [int(w.values[j]) for j in edges] == [sample(seed, expr, start + j)
+                                                      for j in edges]
+        if isinstance(expr, Product):
+            assert not padding(w).any() and not padding(negate(w)).any()
+            assert np.array_equal(negate(w).values, -want)
+
+
+def test_noncommute_shape_folds_in_under_six_bits_a_sample():
+    """Two 9-factor products sharing 8 offsets at L = 2**20, the shape of
+    a ``noncommute`` op: the frame, the two folds and the factor buffers
+    are an eighth of a byte a sample each, and the sign bits and hash
+    buffers stay BLOCK-sized.  Folding unpacked uint8 bits took 0.94
+    bytes a sample."""
+    shared = (3, 5, 7, 9, 11, 13, 15, 17)
+    exprs, length = (Product(shared + (1,)), Product(shared + (18,))), 2**20
+    tracemalloc.start()
+    try:
+        materialize_many(7, exprs, 0, length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * length
 
 
 @pytest.fixture
