@@ -418,7 +418,8 @@ def test_carrier_set_wire_paths_agree(n_eff, seed, d, data):
     assert_wire_paths_agree(seed, n_eff, values, length, d)
 
 
-@pytest.mark.parametrize("n_eff, length", [(1, BLOCK + 1), (4, 2 * BLOCK + 7), (8, 65),
+@pytest.mark.parametrize("n_eff, length", [(1, 16_001), (4, 32_007),  # off the block edges
+                                           (1, BLOCK + 1), (4, 2 * BLOCK + 7), (8, 65),
                                            (11, 64), (14, 3)])
 def test_carrier_set_wire_paths_agree_on_every_string(n_eff, length):
     assert_wire_paths_agree(n_eff, n_eff, range(2**n_eff), length, 3)
