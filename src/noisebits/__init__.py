@@ -22,7 +22,6 @@ from .expr import (
     StreamExpr,
     Superposition,
     canonical_str,
-    member_count,
     multiply,
     parse_expr,
     sample,

@@ -21,7 +21,6 @@ from .hyperspace import (
     DEFAULT_MAX_N,
     DEFAULT_THRESHOLD,
     BitString,
-    _ladder_string,
     add_correlations,
     bits_to_int,
     carrier_set_readout,
@@ -31,7 +30,7 @@ from .hyperspace import (
     format_bits,
     format_value,
 )
-from .reference import ReferenceSystem
+from .reference import ReferenceSystem, _header, _ladder_string, carrier_offsets
 from .window import correlate, materialize_many
 
 
@@ -57,7 +56,7 @@ def holographic_map(bits: Sequence[int], steps: int = 1) -> BitString | OutOfRan
     steps = int(steps)
     if steps < 0:
         raise ValueError("shifts are forward-only")
-    image = _ladder_string([2 * i + b + steps for i, b in enumerate(s)], len(s))
+    image = _ladder_string([o + steps for o in carrier_offsets(s)], len(s))
     return OutOfRange(image) if isinstance(image, str) else image
 
 
@@ -85,9 +84,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
             expected.add(format_bits(image))
 
     return add_correlations({
-        "seed": sys.seed,
-        "N": sys.n_bits,
-        "k": sys.extra_shift_rounds,
+        **_header(sys),
         "d": d,
         "L": length,
         "threshold": threshold,
@@ -120,9 +117,7 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     self_ba = correlate(w_ba, w_ba)
     equal = ab == ba
     return {
-        "seed": sys.seed,
-        "N": sys.n_bits,
-        "k": sys.extra_shift_rounds,
+        **_header(sys),
         "i": i,
         "b": b,
         "d": d,
@@ -162,7 +157,7 @@ class ShiftAssignment:
         r_max defaults to 2 * n_eff, which both guarantees shifted
         references leave the ladder and makes ``distinct`` drawable.
         """
-        keys = [(i, b) for i in range(1, sys.n_eff + 1) for b in (0, 1)]
+        keys = sys.pairs()
         if r_max is None:
             r_max = 2 * sys.n_eff
         if r_max < 1:
@@ -199,24 +194,18 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     compensated = correlate(w_hidden, w_compensated)
 
     d = r if global_shift is None else int(global_shift)
-    restored = []
-    for j in range(1, sys.n_eff + 1):
-        for c in (0, 1):
-            if assignment[(j, c)] == d:
-                restored.append(f"V_{j}_{c}")
+    assigned = {label: assignment[p] for label, p in zip(sys.labels(), sys.pairs())}
+    restored = [label for label, value in assigned.items() if value == d]
 
     uncomp_ok = (uncompensated == 1.0) if r == 0 else \
         abs(uncompensated) <= 5.0 * (1.0 / length ** 0.5)
     return {
-        "seed": sys.seed,
-        "N": sys.n_bits,
-        "k": sys.extra_shift_rounds,
+        **_header(sys),
         "i": i,
         "b": b,
         "r": r,
         "L": length,
-        "assignment": {f"V_{j}_{c}": assignment[(j, c)]
-                       for j in range(1, sys.n_eff + 1) for c in (0, 1)},
+        "assignment": assigned,
         "uncompensated_rho": uncompensated,
         "compensated_rho": compensated,
         "compensated_exact": compensated == 1.0

@@ -38,7 +38,7 @@ from .hyperspace import (
     parse_bits,
     round_trip_run,
 )
-from .reference import build_reference_system, capacity, orthogonality_matrix
+from .reference import _header, build_reference_system, capacity, orthogonality_matrix
 from .source import DEFAULT_SEED
 
 SCHEMA_VERSION = 1
@@ -153,7 +153,7 @@ def _cmd_ortho(args: argparse.Namespace) -> Result:
     rows = orthogonality_matrix(sys_, args.l, args.start)
     max_offdiag = max(abs(rho) for i, row in enumerate(rows)
                       for j, rho in enumerate(row) if i != j)
-    return Result({"seed": sys_.seed, "N": args.n, "k": args.k, "L": args.l,
+    return Result({**_header(sys_), "L": args.l,
                    "start": args.start, "labels": labels, "rho": rows,
                    "max_offdiag_abs": max_offdiag},
                   [f"max_offdiag_abs={max_offdiag:.6g}"], body_on_stdout=True,
@@ -203,8 +203,7 @@ def _cmd_noncommute(args: argparse.Namespace) -> Result:
         raise ValueError("--b needs --i: without --i every (i, b) pair is run")
     sys_ = build_reference_system(args.seed, args.n, args.k)
     x = encode_string(sys_, parse_bits(args.x) if args.x else (0,) * sys_.n_eff)
-    pairs = ([(args.i, args.b or 0)] if args.i is not None
-             else [(i, b) for i in range(1, sys_.n_eff + 1) for b in (0, 1)])
+    pairs = [(args.i, args.b or 0)] if args.i is not None else sys_.pairs()
     runs = [noncommute_demo(sys_, x, i, b, args.d, args.l) for i, b in pairs]
     columns = ("i", "b", "cross_rho", "self_rho_ab", "self_rho_ba")
     return Result({"N": args.n, "k": args.k, "d": args.d, "L": args.l,

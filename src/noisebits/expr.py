@@ -22,9 +22,6 @@ from typing import Iterable, Union
 
 from .source import NoiseSource, as_source, source_sample
 
-#: Shift offsets are plain ints counted in wave periods.
-ShiftOffset = int
-
 #: Largest representable shift offset; anything beyond signals a
 #: misconfigured experiment rather than a real computation.
 MAX_OFFSET = 1 << 48
@@ -94,13 +91,6 @@ def multiply(a: StreamExpr, b: StreamExpr) -> Product:
 def superpose(members: Iterable[Product]) -> Superposition:
     """Sum of distinct product streams; the empty sum is the zero signal."""
     return Superposition(tuple(members))
-
-
-def member_count(expr: StreamExpr) -> int:
-    """Number of product strings carried: 1 for a Product, len for a sum."""
-    if isinstance(expr, Product):
-        return 1
-    return len(expr.members)
 
 
 def sample(source: NoiseSource | int, expr: StreamExpr, n: int) -> int:

@@ -34,8 +34,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expr import Product, Superposition, canonical_str, member_count, superpose
-from .reference import ReferenceSystem, build_reference_system
+from .expr import Product, Superposition, canonical_str, superpose
+from .reference import (ReferenceSystem, _header, _ladder_string, build_reference_system,
+                        carrier_offsets)
 from .source import BLOCK, sign_bits
 from .window import Window, correlate, materialize
 
@@ -82,22 +83,7 @@ def bits_to_int(bits: Sequence[int]) -> int:
 
 def encode_string(sys: ReferenceSystem, bits: Sequence[int]) -> Product:
     """Carrier product of one bit string: reference (i, bits[i]) per bit."""
-    s = check_bits(bits, sys.n_eff)
-    return Product(tuple(2 * i + b for i, b in enumerate(s)))
-
-
-def _ladder_string(offsets: Sequence[int], n: int) -> BitString | str:
-    """The n-bit string whose carrier has these ladder offsets, or why none
-    does: "ladder-overflow" (an offset past 2n - 1), else "bit-collision"."""
-    if any(o >= 2 * n for o in offsets):
-        return "ladder-overflow"
-    out = [-1] * n
-    for o in offsets:
-        slot, b = divmod(o, 2)
-        if out[slot] != -1:
-            return "bit-collision"
-        out[slot] = b
-    return tuple(out)
+    return Product(carrier_offsets(check_bits(bits, sys.n_eff)))
 
 
 def product_to_string(p: Product) -> BitString:
@@ -143,7 +129,7 @@ class DetectionResult:
 
 def _signal_members(window: Window) -> int:
     if window.expr is not None:
-        return member_count(window.expr)
+        return len(getattr(window.expr, "members", (window.expr,)))
     if window.ints is not None and window.ints.size:
         return int(np.abs(window.ints).max())  # lower bound when provenance lost
     return 1
@@ -178,7 +164,9 @@ def _check_frame(length: int, d: int) -> None:
 def ladder_frame(seed: int, n_eff: int, start: int, length: int,
                  d: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1) of the samples
-    [start, start + length + d), from one hash of [start, start + length + 2*n_eff - 1 + d)."""
+    [start, start + length + d), from one hash of [start, start + length + 2*n_eff - 1 + d).
+    Its slices rely on one layout fact: (i, 0) and (i, 1) sit at adjacent offsets, as
+    :func:`reference.carrier_offsets` places them, so one XOR of neighbours is every flip."""
     _check_frame(length, d)
     span = length + d
     bits = sign_bits(seed, start, span + 2 * n_eff - 1)
@@ -331,14 +319,14 @@ def decode_report(signal_window: Window, sys: ReferenceSystem,
                   max_n: int = DEFAULT_MAX_N) -> dict:
     """JSON-ready readout report.
 
-    Keys: seed, N, k, m, L, threshold, detected (sorted "0101" strings)
-    and, for n_eff <= 10, the full correlations list.
+    Keys: seed, N, k, m, L, threshold, detected (sorted "0101" strings) and, for
+    n_eff <= 10, the full correlations list.  ``m`` is the wire's member count when the
+    window keeps its expression; without one, the largest |sample| of an int window (a
+    lower bound on the count), or 1 for a packed window.
     """
     rhos, hits = readout(signal_window, sys, threshold, max_n)
     return add_correlations({
-        "seed": sys.seed,
-        "N": sys.n_bits,
-        "k": sys.extra_shift_rounds,
+        **_header(sys),
         "m": _signal_members(signal_window),
         "L": signal_window.length,
         "threshold": threshold,
@@ -367,9 +355,7 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
 
     members = sorted(population)
     return {
-        "seed": seed,
-        "N": n_bits,
-        "k": extra_shift_rounds,
+        **_header(sys),
         "m": m_strings,
         "L": length,
         "threshold": threshold,

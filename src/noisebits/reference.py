@@ -16,6 +16,7 @@ bit strings, a factor of 2**(M/2) more dimensions than the base system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .expr import Product
 from .source import NoiseSource, as_source
@@ -64,18 +65,43 @@ class ReferenceSystem:
         """Carrier of logic value ``b`` on noise bit ``i``."""
         return Product((self.offset(i, b),))
 
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every reference (i, b) in offset order: (1, 0), (1, 1), (2, 0), ..."""
+        return [(i, b) for i in range(1, self.n_eff + 1) for b in (0, 1)]
+
     def references(self) -> list[Product]:
         """All 2 * n_eff references, offset order (V_1_0, V_1_1, ...)."""
-        return [Product((o,)) for o in range(2 * self.n_eff)]
+        return [self.reference_noise(i, b) for i, b in self.pairs()]
 
     def labels(self) -> list[str]:
-        return [f"V_{i}_{b}" for i in range(1, self.n_eff + 1) for b in (0, 1)]
+        return [f"V_{i}_{b}" for i, b in self.pairs()]
 
     def _check_ref(self, i: int, b: int) -> None:
         if not 1 <= i <= self.n_eff:
             raise ValueError(f"noise bit index {i} outside 1..{self.n_eff}")
         if b not in (0, 1):
             raise ValueError(f"bit value must be 0 or 1, got {b}")
+
+
+def carrier_offsets(bits: Sequence[int]) -> tuple[int, ...]:
+    """Ladder offsets of a bit string's carrier: reference (i + 1, bits[i]) at 2i + bits[i]."""
+    return tuple(2 * i + b for i, b in enumerate(bits))
+
+
+def _ladder_string(offsets: Sequence[int], n: int) -> tuple[int, ...] | str:
+    """Inverse of :func:`carrier_offsets`: the n-bit string whose carrier has these offsets,
+    or why none does: "ladder-overflow" (an offset past 2n - 1), else "bit-collision"."""
+    if any(o >= 2 * n for o in offsets):
+        return "ladder-overflow"
+    slots = dict(divmod(o, 2) for o in offsets)
+    if len(slots) < len(offsets):
+        return "bit-collision"
+    return tuple(slots[j] for j in range(n))
+
+
+def _header(sys: ReferenceSystem) -> dict:
+    """The fields that open every run report: ``seed``, ``N`` and ``k``."""
+    return {"seed": sys.seed, "N": sys.n_bits, "k": sys.extra_shift_rounds}
 
 
 def build_reference_system(source: NoiseSource | int, n_bits: int,

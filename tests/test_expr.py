@@ -9,7 +9,6 @@ from noisebits.expr import (
     ZERO,
     Product,
     canonical_str,
-    member_count,
     multiply,
     parse_expr,
     sample,
@@ -112,11 +111,6 @@ def test_superpose_cancellation_at_opposite_samples():
 def test_superpose_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         superpose([Product((0,)), Product((0,))])
-
-
-def test_member_count():
-    assert member_count(Product((4,))) == 1
-    assert member_count(superpose([Product((0,)), Product((1,))])) == 2
 
 
 def test_sample_matches_manual_product():

@@ -4,9 +4,11 @@ The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
 ``sample`` oracle built on ``source_sample``: across aligned hash blocks,
 whose table must be mix64's first step, and across packed word folds,
-whose padding bits must be zero.  A carrier set read off
-its ladder frame must equal the sweep of its materialized wire.  The
-report writer must equal ``json.dumps(indent=2)``.  A dumped window
+whose padding bits must be zero.  The ladder frame's base and flip
+pattern must equal products and comparisons of ``source_sample``.  A
+carrier set read off its ladder frame must equal the sweep of its
+materialized wire.  The report writer must equal
+``json.dumps(indent=2)``.  A dumped window
 must load back unchanged, and every strict prefix of its dump, or the
 dump with one byte appended, must raise ValueError.  Examples are drawn
 deterministically, so the suite stays reproducible.
@@ -34,6 +36,7 @@ from noisebits.hyperspace import (
     encode_string,
     format_bits,
     int_to_bits,
+    ladder_frame,
     readout,
     walsh_hadamard,
 )
@@ -393,6 +396,32 @@ def test_json_writer_writes_correlations_as_json_dumps(n_eff, depth, length, see
 
 
 BLOCK_EDGES = [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
+
+
+@pytest.mark.parametrize("n_eff", [1, 2, 8, 16, 17])
+@settings(PROPERTY, max_examples=12)
+@given(seed=seeds, d=st.sampled_from([0, 1, 3]), length=st.sampled_from(BLOCK_EDGES),
+       start=st.one_of(st.just(0), st.integers(0, 2**40),  # or one below a BLOCK multiple
+                       st.integers(1, 2**40 // BLOCK).map(lambda a: a * BLOCK - 1)),
+       data=st.data())
+def test_ladder_frame_matches_source_sample_oracle(n_eff, seed, d, length, start, data):
+    """``base[t]`` is the product of the wave at start + t + 2i, and pattern
+    bit i is set where the wave differs between start + t + 2i and the next
+    sample, at every index beside a frame or hash block edge and at up to 20
+    drawn ones."""
+    base, pattern = ladder_frame(seed, n_eff, start, length, d)
+    span = length + d
+    assert base.dtype == np.int8
+    assert pattern.dtype == (np.uint16 if n_eff <= 16 else np.uint32)
+    assert base.shape == pattern.shape == (span,)
+    edges = [*range(0, span + 1, BLOCK), *range(-start % BLOCK, span + 1, BLOCK)]
+    near = {t for e in edges for t in (e - 1, e) if 0 <= t < span}
+    drawn = data.draw(st.lists(st.integers(0, span - 1), max_size=20))
+    for t in sorted(near.union(drawn)):
+        wave = [source_sample(seed, start + t + o) for o in range(2 * n_eff)]
+        assert base[t] == np.prod(wave[0::2])
+        for i in range(n_eff):
+            assert (int(pattern[t]) >> i) & 1 == (wave[2 * i] != wave[2 * i + 1])
 
 
 def assert_wire_paths_agree(seed, n_eff, values, length, d):

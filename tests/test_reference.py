@@ -2,9 +2,17 @@ import random
 
 import pytest
 
+from noisebits.apps import ShiftAssignment
 from noisebits.expr import Product
 from noisebits.cli import main
-from noisebits.reference import build_reference_system, capacity, orthogonality_matrix
+from noisebits.hyperspace import int_to_bits
+from noisebits.reference import (
+    _ladder_string,
+    build_reference_system,
+    capacity,
+    carrier_offsets,
+    orthogonality_matrix,
+)
 
 
 def test_single_bit_system_matches_base_pair():
@@ -45,6 +53,20 @@ def test_offsets_injective_and_contiguous():
         offsets = [sys.offset(i, b) for i in range(1, sys.n_eff + 1) for b in (0, 1)]
         assert sorted(offsets) == list(range(2 * sys.n_eff))
         assert len(set(offsets)) == len(offsets)
+        # one ladder order: pairs() lists (i, b) at offset j, and every
+        # enumeration of the references follows it
+        pairs = sys.pairs()
+        references, labels = sys.references(), sys.labels()
+        assert len(pairs) == len(references) == len(labels) == 2 * sys.n_eff
+        for j, (i, b) in enumerate(pairs):
+            assert sys.offset(i, b) == j
+            assert references[j] == Product((j,))
+            assert labels[j] == f"V_{i}_{b}"
+        assert list(ShiftAssignment.draw(sys, 7).shifts) == pairs
+    for n in range(1, 7):  # carrier_offsets and its inverse, on every string
+        for v in range(2**n):
+            bits = int_to_bits(v, n)
+            assert _ladder_string(carrier_offsets(bits), n) == bits
 
 
 def test_reference_examples():
