@@ -28,7 +28,7 @@ from .hyperspace import (
     default_window_len,
     encode_set,
     format_bits,
-    format_value,
+    format_values,
 )
 from .reference import ReferenceSystem, _header, _ladder_string, carrier_offsets
 from .window import correlate, materialize_many
@@ -72,7 +72,7 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     encode_set(sys, checked)  # rejects duplicate members
     rhos, hits = carrier_set_readout(sys, [bits_to_int(s) for s in checked], length, d,
                                      threshold, max_n)
-    decoded = {format_value(v, sys.n_eff) for v in hits}
+    decoded = set(format_values(hits, sys.n_eff))
 
     expected: set[str] = set()
     out_of_range: list[dict] = []

@@ -10,17 +10,20 @@ midway between the two expectations decides membership.
 With base = prod_i V_i_0 and flips f_i = V_i_0 * V_i_1, carrier c is
 base * prod_{i in c} f_i.  A readout op hashes one ladder frame of
 L + 2*n_eff - 1 (+ d) samples and derives every sample's base and flip
-pattern from it.  The sweep bins wire * base by pattern into 2**n_eff
-int64 totals, ``source.BLOCK`` samples at a time; their Walsh-Hadamard
-transform (Fino & Algazi, 1976), Kronecker factors of at most 32 x 32 in
-one float64 matmul each, is every candidate's total in O(L + n_eff *
-2**n_eff).  Each partial sum is an integer of size <= sum|totals| <= L*m,
-so totals are exact, for any BLAS thread count, until one division by L;
-sum|x| >= 2**53 raises OverflowError.  Run backwards, the
-identity gives a set S's wire, base * W_S[pattern] with W_S the
-transform of S's indicator, so a carrier set is read without its wire:
-at d = 0, base**2 = 1 makes the histogram the pattern count times W_S;
-shifted by d, sample t weighs W_S[pattern(t+d)] * base(t+d) * base(t).
+pattern from it in log-depth passes: about log2(n_eff) shifted XORs of
+neighbour flips for the pattern, and of sign bits for the base, which a
+carrier set read at d = 0 does not derive.  The sweep bins wire * base
+by pattern into 2**n_eff int64 totals, ``source.BLOCK`` samples at a
+time; their Walsh-Hadamard transform (Fino & Algazi, 1976), Kronecker
+factors of at most 32 x 32 in one float64 matmul each, is every
+candidate's total in O(L + n_eff * 2**n_eff).  Each partial sum is an
+integer of size <= sum|totals| <= L*m, so totals are exact, for any BLAS
+thread count, until one division by L; sum|x| >= 2**53 raises
+OverflowError.  Run backwards, the identity gives a set S's wire,
+base * W_S[pattern] with W_S the transform of S's indicator, so a
+carrier set is read without its wire: at d = 0, base**2 = 1 makes the
+histogram the pattern count times W_S; shifted by d, sample t weighs
+W_S[pattern(t+d)] * base(t+d) * base(t).
 ``max_n`` caps the 2**n_eff * 8-byte histogram unless raised explicitly.
 """
 
@@ -161,26 +164,53 @@ def _check_frame(length: int, d: int) -> None:
         raise ValueError(f"window length must be at least 1, got {length}")
 
 
+def _ladder_fold(x: np.ndarray, n: int, s: int, k: int) -> np.ndarray:
+    """``y[t] = XOR_{i<n} x[t + 2i] << s*i`` for t < k, from x of at least k + 2n - 2
+    entries, in x's dtype; y may be a view of x.  A doubling turns ``run``, the fold of h
+    terms, into that of 2h: ``run[t] ^ run[t + 2h] << s*h``; each set bit of n folds ``run``
+    into ``y`` past the terms already taken.  So n costs floor(log2 n) doublings plus one
+    combine per extra set bit.  A shift by 0 is skipped: numpy shifts uint8 slowly."""
+    y, run, done, h = None, x, 0, 1
+    while True:
+        if n & h:
+            part = run[2 * done:2 * done + k]
+            if s * done:
+                part = part << s * done
+            y = part if y is None else y ^ part
+            done += h
+        if done == n:
+            return y
+        run = run[:-2 * h] ^ (run[2 * h:] << s * h if s else run[2 * h:])
+        h *= 2
+
+
 def ladder_frame(seed: int, n_eff: int, start: int, length: int,
-                 d: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                 d: int = 0, *, _base: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """``base`` (int8 +-1) and flip ``pattern`` (bit i set where V_i_0 != V_i_1) of the samples
     [start, start + length + d), from one hash of [start, start + length + 2*n_eff - 1 + d).
     Its slices rely on one layout fact: (i, 0) and (i, 1) sit at adjacent offsets, as
-    :func:`reference.carrier_offsets` places them, so one XOR of neighbours is every flip."""
+    :func:`reference.carrier_offsets` places them, so one XOR of neighbours is every flip.
+    Base and pattern are log-depth folds (:func:`_ladder_fold`) of the sign bits and the
+    flips.  ``base`` is None when ``_base`` is false: a d = 0 carrier set reads no base."""
     _check_frame(length, d)
+    if n_eff < 1:
+        raise ValueError(f"need at least one noise bit, got n_eff={n_eff}")
     span = length + d
     bits = sign_bits(seed, start, span + 2 * n_eff - 1)
-    base = np.empty(span, dtype=np.int8)
-    pattern = np.zeros(span, dtype=np.uint16 if n_eff <= 16 else np.uint32)
+    base = np.empty(span, dtype=np.int8) if _base else None
+    pattern = np.empty(span, dtype=np.uint16 if n_eff <= 16 else np.uint32)
     for pos in range(0, span, BLOCK):  # bounded temporaries; see BLOCK
         sub = bits[pos:pos + BLOCK + 2 * n_eff - 1]
         k = sub.size - 2 * n_eff + 1
         flips = (sub[:-1] ^ sub[1:]).astype(pattern.dtype)
-        sign = np.full(k, n_eff % 2 == 0, dtype=np.uint8)  # bit 1 encodes +1
-        for i in range(n_eff):  # V_i_b is sub[t + 2i + b], i from 0 here
-            sign ^= sub[2 * i:2 * i + k]
-            pattern[pos:pos + k] |= flips[2 * i:2 * i + k] << i
-        np.subtract(sign << 1, 1, out=base[pos:pos + k], casting="unsafe")
+        pattern[pos:pos + k] = _ladder_fold(flips, n_eff, 1, k)
+        if base is not None:  # V_i_0 is sub[t + 2i]; bit 1 encodes +1
+            b = base[pos:pos + k]
+            sign = _ladder_fold(sub, n_eff, 0, k)  # parity of the +1 factors
+            np.add(sign, sign, out=b, casting="unsafe")
+            b -= 1  # the product when n_eff is odd, its negative when even
+            if n_eff % 2 == 0:
+                np.negative(b, out=b)
     return base, pattern
 
 
@@ -258,10 +288,14 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
     _check_frame(length, d)
     _check_threshold(threshold)
     _check_capacity(n, max_n)
-    table = np.zeros(1 << n, dtype=np.int32)
-    np.add.at(table, list(values), 1)
+    values = list(values)
+    for v in values:
+        if not 0 <= v < 1 << n:
+            raise ValueError(f"carrier values must lie in 0..{(1 << n) - 1}, got {v}")
+    table = np.bincount(values, minlength=1 << n)
     table = walsh_hadamard(table).astype(np.int32)  # W_S: the wire is base * W_S[pattern]
-    base, pattern = ladder_frame(sys.seed, n, 0, length, d)  # after W_S's float64 buffers
+    # after W_S's float64 buffers; at d = 0 only patterns are counted, so no base
+    base, pattern = ladder_frame(sys.seed, n, 0, length, d, _base=d > 0)
     totals = np.zeros(1 << n, dtype=np.int64)
     for pos in range(0, length, BLOCK):  # bounded temporaries; see BLOCK
         end = min(pos + BLOCK, length)
@@ -279,15 +313,22 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
     return rhos, np.flatnonzero(rhos > threshold).tolist()
 
 
+def format_values(values: Iterable[int], n_eff: int) -> list[str]:
+    """``format_bits(int_to_bits(v, n_eff))`` of every value, without the tuples;
+    the format spec is built once."""
+    spec = f"0{n_eff}b"
+    return [format(v, spec)[::-1] for v in values]
+
+
 def format_value(value: int, n_eff: int) -> str:
-    """``format_bits(int_to_bits(value, n_eff))`` without the tuple."""
-    return format(value, f"0{n_eff}b")[::-1]
+    """:func:`format_values` of one value."""
+    return format_values((value,), n_eff)[0]
 
 
 @functools.cache
 def _candidate_labels(n_eff: int) -> tuple[str, ...]:
     """``format_bits(int_to_bits(v, n_eff))`` for every v, in order."""
-    return tuple(format_value(v, n_eff) for v in range(1 << n_eff))
+    return tuple(format_values(range(1 << n_eff), n_eff))
 
 
 class Correlations(list):
@@ -330,7 +371,7 @@ def decode_report(signal_window: Window, sys: ReferenceSystem,
         "m": _signal_members(signal_window),
         "L": signal_window.length,
         "threshold": threshold,
-        "detected": sorted(format_value(v, sys.n_eff) for v in hits),
+        "detected": sorted(format_values(hits, sys.n_eff)),
     }, rhos, sys.n_eff)
 
 
@@ -354,14 +395,16 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
     rhos, hits = carrier_set_readout(sys, population, length, 0, threshold, max_n)
 
     members = sorted(population)
+    ok = hits == members
+    strings = sorted(format_values(members, sys.n_eff))
     return {
         **_header(sys),
         "m": m_strings,
         "L": length,
         "threshold": threshold,
-        "strings": sorted(format_value(v, sys.n_eff) for v in members),
-        "detected": sorted(format_value(v, sys.n_eff) for v in hits),
-        "ok": hits == members,
+        "strings": strings,
+        "detected": strings.copy() if ok else sorted(format_values(hits, sys.n_eff)),
+        "ok": ok,
         "member_rho_min": float(rhos[members].min()),
         "member_rho_max": float(rhos[members].max()),
         "nonmember_abs_max": float(np.abs(np.delete(rhos, members)).max(initial=0.0)),

@@ -313,21 +313,28 @@ def test_ladder_frame_rejects_empty_window_and_negative_shift():
         ladder_frame(42, 4, 0, 0)
     with pytest.raises(ValueError, match="negative shifts are not represented"):
         ladder_frame(42, 4, 0, 100, -1)
+    for n_eff in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one noise bit, got n_eff={n_eff}"):
+            ladder_frame(5, n_eff, 0, 100)
 
 
-@pytest.mark.parametrize("length, d, threshold, n_eff, message", [
-    (0, -1, float("nan"), 15, "negative shifts are not represented"),
-    (0, 0, float("nan"), 15, "window length must be at least 1, got 0"),
-    (20_000_000, 1, float("nan"), 15, "threshold must be a finite number, got nan"),
-    (20_000_000, 1, 0.5, 15, r"capacity exceeded: .* \(n_eff=15, max_n=14\)"),
+@pytest.mark.parametrize("length, d, threshold, n_eff, message, value", [
+    (0, -1, float("nan"), 15, "negative shifts are not represented", 0),
+    (0, 0, float("nan"), 15, "window length must be at least 1, got 0", 0),
+    (20_000_000, 1, float("nan"), 15, "threshold must be a finite number, got nan", 0),
+    (20_000_000, 1, 0.5, 15, r"capacity exceeded: .* \(n_eff=15, max_n=14\)", 0),
+    (20_000_000, 1, 0.5, 14, r"carrier values must lie in 0\.\.16383, got -1", -1),
+    (20_000_000, 1, 0.5, 14, r"carrier values must lie in 0\.\.16383, got 16384", 1 << 14),
 ])
 def test_carrier_set_readout_checks_every_input_before_hashing(monkeypatch, length, d,
-                                                               threshold, n_eff, message):
-    """d, L, threshold and max_n are checked in that order, and a bad one
-    fails before any of the window is hashed."""
+                                                               threshold, n_eff, message,
+                                                               value):
+    """d, L, threshold, max_n and the carrier values are checked in that
+    order, and a bad one fails before any of the window is hashed."""
     def no_hash(*args):
         raise AssertionError("hashed a frame before checking the inputs")
 
     monkeypatch.setattr(hyperspace, "sign_bits", no_hash)
     with pytest.raises(ValueError, match=message):
-        carrier_set_readout(build_reference_system(3, n_eff), [0], length, d, threshold)
+        carrier_set_readout(build_reference_system(3, n_eff), [0, value], length, d,
+                            threshold)
