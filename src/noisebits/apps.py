@@ -26,7 +26,6 @@ from .hyperspace import (
     carrier_set_readout,
     check_bits,
     default_window_len,
-    encode_set,
     format_bits,
     format_values,
 )
@@ -69,9 +68,10 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     checked = [check_bits(s, sys.n_eff) for s in strings]
     if length is None:
         length = default_window_len(len(checked))
-    encode_set(sys, checked)  # rejects duplicate members
-    rhos, hits = carrier_set_readout(sys, [bits_to_int(s) for s in checked], length, d,
-                                     threshold, max_n)
+    values = [bits_to_int(s) for s in checked]
+    if len(set(values)) != len(values):  # Superposition's check, made before the readout's
+        raise ValueError("duplicate members silently double amplitude; refusing")
+    rhos, hits = carrier_set_readout(sys, values, length, d, threshold, max_n)
     decoded = set(format_values(hits, sys.n_eff))
 
     expected: set[str] = set()

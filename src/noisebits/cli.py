@@ -15,6 +15,11 @@ compute; :func:`main` writes every subcommand's output in one place:
 Exit status: 0 on success, 1 when a verdict fails (a decode mismatch or
 a false ``ok``), 2 on usage errors, including an ``--out`` or ``--csv``
 path that cannot be written.  An error leaves stdout empty.
+
+Parsing is one pass: when ``argv[0]`` names a subcommand, its parser takes
+the rest, and the top-level parser reports what is left over, so the
+namespace and every error are ``build_parser().parse_args(argv)``'s.
+Anything else (no arguments, ``-h``, an unknown name) goes to the latter.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import functools
 import json
 import math
 import sys
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .apps import ShiftAssignment, holographic_demo, noncommute_demo, random_shift_demo
@@ -32,8 +36,8 @@ from .hyperspace import (
     DEFAULT_MAX_N,
     DEFAULT_THRESHOLD,
     Correlations,
+    _candidate_labels,
     encode_string,
-    format_value,
     int_to_bits,
     parse_bits,
     round_trip_run,
@@ -106,10 +110,12 @@ def _key(k) -> str:
 
 @functools.cache
 def _row_heads(n_eff: int, nl: str) -> tuple[str, ...]:
-    """Each candidate's correlations row up to its rho, indented for a table at ``nl``."""
-    field = nl + "    "
-    return tuple("{" + field + '"candidate": ' + _str(format_value(v, n_eff)) + "," + field
-                 + '"rho": ' for v in range(1 << n_eff))
+    """Each candidate's correlations row up to its rho, indented for a table at ``nl``
+    and led by what precedes it: the table's ``[``, or the end of the row before."""
+    field, inner = nl + "    ", nl + "  "
+    return tuple(("[" if v == 0 else nl + "  },") + inner + "{" + field + '"candidate": '
+                 + _str(label) + "," + field + '"rho": '
+                 for v, label in enumerate(_candidate_labels(n_eff)))
 
 
 def _json(obj, nl: str = "\n") -> str:
@@ -122,12 +128,15 @@ def _json(obj, nl: str = "\n") -> str:
         return text
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+        # before any truth test, which would build a Correlations' rows
         if (isinstance(obj, Correlations) and set(map(type, obj.rhos)) == {float}
                 and math.isfinite(sum(obj.rhos))):  # no NaN or infinity
-            rows = map(str.__add__, _row_heads(obj.n_eff, nl), map(float.__repr__, obj.rhos))
-            return "[" + inner + (nl + "  }," + inner).join(rows) + nl + "  }" + nl + "]"
+            parts = [None] * (2 * len(obj.rhos))  # heads and rhos, interleaved for one join
+            parts[::2] = _row_heads(obj.n_eff, nl)
+            parts[1::2] = map(float.__repr__, obj.rhos)
+            return "".join(parts) + nl + "  }" + nl + "]"
+        if not obj:
+            return "[]"
         return "[" + inner + ("," + inner).join([
             enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner)
             for v in obj]) + nl + "]"
@@ -192,10 +201,11 @@ def _cmd_holographic(args: argparse.Namespace) -> Result:
                    for r in runs],
                   table=(("input", "candidate", "rho"),
                          # a run's lines in one join: its input cell quoted once, then the
-                         # label and %.6g rho columns (bit strings hold no "%")
+                         # label and %.6g rho columns (bit strings hold no "%"); "is not
+                         # None", as a truth test would build the rows
                          ("".join(map((_cell(",".join(r["input"])) + ",%s,%.6g\n").__mod__,
                                       zip(c.labels, c.rhos)))
-                          for r in runs if (c := r.get("correlations")))))
+                          for r in runs if (c := r.get("correlations")) is not None)))
 
 
 def _cmd_noncommute(args: argparse.Namespace) -> Result:
@@ -228,6 +238,12 @@ def _cmd_randshift(args: argparse.Namespace) -> Result:
                   table=(("reference", "r"), report["assignment"].items()))
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 bytes, with no newline translation."""
+    with open(path, "wb") as f:
+        f.write(text.encode())
+
+
 def _emit(args: argparse.Namespace, result: Result) -> int:
     """The one place the CLI writes output; returns the exit status.
     Files are written first, so a failed write leaves stdout empty."""
@@ -236,9 +252,9 @@ def _emit(args: argparse.Namespace, result: Result) -> int:
         body = _json({"schema": SCHEMA_VERSION, "subcommand": args.command,
                       **result.report}) + "\n"
     if args.out:
-        Path(args.out).write_text(body)
+        _write(args.out, body)
     if result.table and args.csv:
-        Path(args.csv).write_text(_csv(*result.table))
+        _write(args.csv, _csv(*result.table))
     if result.body_on_stdout and not args.out:
         sys.stdout.write(body)
     else:
@@ -247,13 +263,12 @@ def _emit(args: argparse.Namespace, result: Result) -> int:
     return 0 if result.ok and result.report.get("ok", True) else 1
 
 
-def _experiment(sub, name: str, func, help: str, *, n: int | None = None,
+def _experiment(add, name: str, func, help: str, *, n: int | None = None,
                 length: int | None = None, readout: bool = False,
                 csv: str = "") -> argparse.ArgumentParser:
     """Add an experiment's subparser with its handler and shared flags;
     ``--l`` defaults to the readout window policy when ``length`` is None."""
-    p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func)
+    p = add(name, help, func)
     p.add_argument("--n", type=int, required=n is None, default=n, help="noise bits N")
     if readout:
         p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
@@ -272,36 +287,41 @@ def _experiment(sub, name: str, func, help: str, *, n: int | None = None,
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared by every call
-    to :func:`main`; callers must not modify it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and each subcommand's parser by name, built once per
+    process and shared by every call to :func:`main`; callers must not modify them."""
     parser = argparse.ArgumentParser(
         prog="noisebits",
         description="Noise-based logic experiments on a single telegraph wave.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p = sub.add_parser("capacity", help="exact hyperspace capacity of one wire")
+    def add(name: str, help: str, func) -> argparse.ArgumentParser:
+        commands[name] = p = sub.add_parser(name, help=help)
+        p.set_defaults(command=name, func=func)  # what the top-level parser would set
+        return p
+
+    p = add("capacity", "exact hyperspace capacity of one wire", _cmd_capacity)
     p.add_argument("--n", type=int, required=True, help="noise bits N")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--m", type=int, help="expansion shift steps M = 2kN")
     group.add_argument("--k", type=int, default=0, help="expansion rounds k")
     p.add_argument("--out", help="write the full JSON report here")
-    p.set_defaults(func=_cmd_capacity)
 
-    p = _experiment(sub, "ortho", _cmd_ortho, "pairwise reference correlations",
+    p = _experiment(add, "ortho", _cmd_ortho, "pairwise reference correlations",
                     length=1_000_000)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = _experiment(sub, "encode-decode", _cmd_encode_decode,
+    p = _experiment(add, "encode-decode", _cmd_encode_decode,
                     "random-set round trip through one wire", readout=True)
     p.add_argument("--m-strings", type=int, default=5,
                    help="strings per set (default %(default)s)")
     p.add_argument("--seeds", type=int, default=1,
                    help="number of consecutive seeds to run (default %(default)s)")
 
-    p = _experiment(sub, "holographic", _cmd_holographic,
+    p = _experiment(add, "holographic", _cmd_holographic,
                     "decode a shifted superposition against unshifted references",
                     readout=True, csv="also write a correlations CSV here")
     p.add_argument("--d", type=int, default=1, help="whole-signal shift (periods)")
@@ -309,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated bit strings to encode; default sweeps "
                         "every singleton")
 
-    p = _experiment(sub, "noncommute", _cmd_noncommute,
+    p = _experiment(add, "noncommute", _cmd_noncommute,
                     "multiply-then-shift vs shift-then-multiply", n=2,
                     length=1_000_000, csv="also write a correlations CSV here")
     p.add_argument("--i", type=int, help="noise bit index (default: all pairs)")
@@ -318,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1, help="shift step (periods)")
     p.add_argument("--x", help="input product string bits (default all zeros)")
 
-    p = _experiment(sub, "randshift", _cmd_randshift,
+    p = _experiment(add, "randshift", _cmd_randshift,
                     "fixed random shifts: hiding and restoring references", n=3,
                     length=1_000_000, csv="also write the assignment as CSV here")
     p.add_argument("--assign-seed", type=int, default=7,
@@ -332,11 +352,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--global-d", type=int, default=None,
                    help="global inverse-shift guess (default: the probed r)")
 
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's top-level parser, built once per process; callers must not modify it."""
+    return _parsers()[0]
+
+
+def _parse(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: when ``argv[0]`` names a subcommand, one pass
+    of its parser over the rest; anything else goes to the top-level parser."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if rest:  # reported by the top-level parser, as its parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
+        return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return _emit(args, args.func(args))
     except (ValueError, OverflowError, OSError) as exc:

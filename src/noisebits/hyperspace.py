@@ -191,10 +191,12 @@ def ladder_frame(seed: int, n_eff: int, start: int, length: int,
     Its slices rely on one layout fact: (i, 0) and (i, 1) sit at adjacent offsets, as
     :func:`reference.carrier_offsets` places them, so one XOR of neighbours is every flip.
     Base and pattern are log-depth folds (:func:`_ladder_fold`) of the sign bits and the
-    flips.  ``base`` is None when ``_base`` is false: a d = 0 carrier set reads no base."""
+    flips.  ``base`` is None when ``_base`` is false: a d = 0 carrier set reads no base.
+    n_eff is 1..32, the bits of a uint32 pattern."""
     _check_frame(length, d)
     if n_eff < 1:
         raise ValueError(f"need at least one noise bit, got n_eff={n_eff}")
+    _check_pattern_width(n_eff)
     span = length + d
     bits = sign_bits(seed, start, span + 2 * n_eff - 1)
     base = np.empty(span, dtype=np.int8) if _base else None
@@ -214,11 +216,17 @@ def ladder_frame(seed: int, n_eff: int, start: int, length: int,
     return base, pattern
 
 
+def _check_pattern_width(n_eff: int) -> None:
+    if n_eff > 32:  # a frame's flip pattern is uint32 at most
+        raise ValueError(f"a ladder frame holds at most 32 noise bits, got n_eff={n_eff}")
+
+
 def _check_capacity(n_eff: int, max_n: int) -> None:
     if n_eff > max_n:
         raise ValueError(
             f"capacity exceeded: raise max_n explicitly (n_eff={n_eff}, max_n={max_n})"
         )
+    _check_pattern_width(n_eff)
 
 
 def _check_threshold(threshold: float) -> None:
@@ -320,11 +328,6 @@ def format_values(values: Iterable[int], n_eff: int) -> list[str]:
     return [format(v, spec)[::-1] for v in values]
 
 
-def format_value(value: int, n_eff: int) -> str:
-    """:func:`format_values` of one value."""
-    return format_values((value,), n_eff)[0]
-
-
 @functools.cache
 def _candidate_labels(n_eff: int) -> tuple[str, ...]:
     """``format_bits(int_to_bits(v, n_eff))`` for every v, in order."""
@@ -333,12 +336,47 @@ def _candidate_labels(n_eff: int) -> tuple[str, ...]:
 
 class Correlations(list):
     """Every candidate's ``{"candidate", "rho"}`` row, keeping ``n_eff`` and the ``labels``
-    and ``rhos`` columns for the CLI to write tables from.  A snapshot: nothing in the
-    package edits it after :func:`add_correlations`, and an edit would not reach a column."""
+    and ``rhos`` columns for the CLI to write tables from.  The rows are built the first
+    time a list method reads or changes them; from then on it is a plain list of them.  A
+    snapshot: nothing in the package edits it after :func:`add_correlations`, and an edit
+    would not reach a column."""
+
+    _unbuilt = False  # an unpickled or copied instance gets its rows from its source
 
     def __init__(self, n_eff: int, rhos: np.ndarray):
         self.n_eff, self.labels, self.rhos = n_eff, _candidate_labels(n_eff), rhos.tolist()
-        super().__init__([{"candidate": c, "rho": r} for c, r in zip(self.labels, self.rhos)])
+        self._unbuilt = True
+
+    def _build(self) -> None:
+        if self._unbuilt:
+            self._unbuilt = False
+            list.extend(self, [{"candidate": c, "rho": r}
+                               for c, r in zip(self.labels, self.rhos)])
+
+    def __radd__(self, other):  # so that ``list.__add__`` finds the rows it reads directly
+        self._build()
+        return NotImplemented
+
+
+def _building(method):
+    """``method`` of ``list``, once every unbuilt :class:`Correlations` among its
+    arguments has its rows: list methods read another list's items directly."""
+    @functools.wraps(method)
+    def build_first(*args, **kwargs):
+        for a in args:
+            if isinstance(a, Correlations):
+                a._build()
+        return method(*args, **kwargs)
+    return build_first
+
+
+for _name in ("__add__", "__contains__", "__delitem__", "__eq__", "__ge__", "__getitem__",
+              "__gt__", "__iadd__", "__imul__", "__iter__", "__le__", "__len__", "__lt__",
+              "__mul__", "__ne__", "__reduce_ex__", "__repr__", "__reversed__", "__rmul__",
+              "__setitem__", "__sizeof__", "append", "clear", "copy", "count", "extend",
+              "index", "insert", "pop", "remove", "reverse", "sort"):
+    setattr(Correlations, _name, _building(getattr(list, _name)))
+del _name
 
 
 def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:

@@ -107,10 +107,17 @@ def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
     return out
 
 
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """Sign bits (1 encodes +1) as int8 +-1, by an in-place add: numpy shifts int8 slowly."""
+    values = bits.astype(np.int8)
+    values += values
+    values -= 1
+    return values
+
+
 def sample_block(seed: int, start: int, length: int) -> np.ndarray:
     """Block of wave samples as int8 values in {-1, +1}."""
-    bits = sign_bits(seed, start, length)
-    return (bits.astype(np.int8) << 1) - 1
+    return _signs(sign_bits(seed, start, length))
 
 
 @dataclass(frozen=True)

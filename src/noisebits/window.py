@@ -34,7 +34,7 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .expr import Product, StreamExpr, Superposition, canonical_str, parse_expr
-from .source import BLOCK, MASK64, MAX_INDEX, NoiseSource, as_source, sign_bits
+from .source import BLOCK, MASK64, MAX_INDEX, NoiseSource, _signs, as_source, sign_bits
 
 
 def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
@@ -78,8 +78,7 @@ class Window:
     def values(self) -> np.ndarray:
         """Samples as a signed array: int8 +-1 when packed, else int32."""
         if self.words is not None:
-            bits = unpack_bits(self.words, self.length)
-            return (bits.astype(np.int8) << 1) - 1
+            return _signs(unpack_bits(self.words, self.length))
         assert self.ints is not None
         return self.ints
 

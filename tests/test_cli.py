@@ -1,14 +1,16 @@
 import csv
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from noisebits import hyperspace, source, window
+from noisebits import apps, cli, hyperspace, source, window
 from noisebits.cli import build_parser, main
-from noisebits.hyperspace import format_value
+from noisebits.hyperspace import format_values
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +170,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "classical_bits=2" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "noisebits", "encode-decode", "--n", "4", "--bogus", "1"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: noisebits [-h]")
+    assert proc.stderr.endswith("noisebits: error: unrecognized arguments: --bogus 1\n")
 
 
 @pytest.mark.parametrize("m", ["0", "17"])
@@ -373,8 +382,8 @@ def test_readout_op_hashes_each_sample_once(capsys, monkeypatch, argv, n_eff, le
 # Their difference sets with a candidate fall into few translate families,
 # whose terms add coherently, so the default window is too short for them
 # (README, readout policy): both seeds decode a spurious 00000000000000.
-ONE_RUN_STRINGS = ",".join(format_value(((1 << r) - 1) << a, 14)
-                           for r in range(1, 5) for a in range(15 - r))
+ONE_RUN_STRINGS = ",".join(format_values([((1 << r) - 1) << a
+                                          for r in range(1, 5) for a in range(15 - r)], 14))
 
 
 @pytest.mark.xfail(strict=True, reason="the default window assumes incoherent member terms")
@@ -383,3 +392,69 @@ def test_one_run_strings_decode_at_the_default_window(capsys, seed):
     code, out, _ = run_cli(capsys, "holographic", "--n", "14", "--d", "0", "--seed", seed,
                            "--strings", ONE_RUN_STRINGS)
     assert (code, out.splitlines()[-1]) == (0, "ok: true")
+
+
+README_COMMANDS = [shlex.split(line.partition("#")[0])[1:]
+                   for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+                   if line.startswith("noisebits ")]
+# one argv shaped like each subcommand's benchmark ops
+WORKLOAD_ARGVS = [
+    ["capacity", "--n", "12", "--k", "2", "--out", "r.json"],
+    ["ortho", "--n", "4", "--k", "1", "--l", "262144", "--start", "9", "--seed", "77",
+     "--format", "json", "--out", "r.json"],
+    ["encode-decode", "--n", "7", "--k", "1", "--m-strings", "9", "--seed", "1826871842",
+     "--out", "r.json"],
+    ["holographic", "--n", "5", "--k", "1", "--d", "2", "--strings", "0110100101",
+     "--threshold", "0.4", "--max-n", "12", "--seed", "5", "--out", "r.json"],
+    ["noncommute", "--n", "8", "--i", "6", "--b", "0", "--d", "1", "--x", "00010110",
+     "--l", "262144", "--seed", "1826871842", "--out", "r.json", "--csv", "t.csv"],
+    ["randshift", "--n", "3", "--assign-seed", "7", "--r-max", "9", "--repeats", "--i", "2",
+     "--b", "1", "--global-d", "3", "--l", "262144", "--out", "r.json"],
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS + WORKLOAD_ARGVS, ids=" ".join)
+def test_parse_path_gives_argparse_namespace(argv):
+    assert len(README_COMMANDS) == 6
+    assert cli._parse(argv) == build_parser().parse_args(argv)
+
+
+def exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["-h"], ["encode-decode", "--help"], ["encode-decode", "--n", "x"],
+    ["encode-decode", "--n", "4", "--bogus", "1"], ["capacity", "--n", "2", "extra"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_errors_are_argparse_errors(capsys, monkeypatch, argv):
+    """Usage errors and help keep argparse's exit status, stdout and stderr:
+    a leftover argument is reported with the top-level usage line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = exit_of(capsys, main, argv)
+    assert got == exit_of(capsys, build_parser().parse_args, argv)
+    if argv[:1] in (["encode-decode"], ["capacity"]) and "unrecognized" in got[2]:
+        assert got[2].startswith("usage: noisebits [-h]")
+
+
+def test_holographic_report_and_table_leave_rows_unbuilt(capsys, monkeypatch, tmp_path):
+    """--out and --csv write a correlations table from its columns alone."""
+    tables = []
+
+    def recording(report, rhos, n_eff):
+        report = hyperspace.add_correlations(report, rhos, n_eff)
+        tables.append(report["correlations"])
+        return report
+
+    monkeypatch.setattr(apps, "add_correlations", recording)
+    out_path, csv_path = tmp_path / "holo.json", tmp_path / "holo.csv"
+    code, _, _ = run_cli(capsys, "holographic", "--n", "5", "--k", "1", "--d", "2",
+                         "--strings", "0110100101", "--l", "4096",
+                         "--out", str(out_path), "--csv", str(csv_path))
+    assert code == 0 and len(tables) == 1
+    assert list.__len__(tables[0]) == 0  # no row dict was built
+    assert json.loads(out_path.read_bytes())["runs"][0]["correlations"] == tables[0]
+    assert len(csv_path.read_bytes().splitlines()) == 1 + len(tables[0]) == 1025

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 
 import numpy as np
@@ -6,6 +9,8 @@ import pytest
 import noisebits.hyperspace as hyperspace
 from noisebits.expr import Product
 from noisebits.hyperspace import (
+    Correlations,
+    add_correlations,
     bits_to_int,
     carrier_set_readout,
     correlation_sweep,
@@ -18,6 +23,7 @@ from noisebits.hyperspace import (
     encode_set,
     encode_string,
     format_bits,
+    format_values,
     int_to_bits,
     ladder_frame,
     parse_bits,
@@ -338,3 +344,59 @@ def test_carrier_set_readout_checks_every_input_before_hashing(monkeypatch, leng
     with pytest.raises(ValueError, match=message):
         carrier_set_readout(build_reference_system(3, n_eff), [0, value], length, d,
                             threshold)
+
+
+def test_frames_and_readouts_refuse_more_than_32_noise_bits(monkeypatch):
+    """A uint32 flip pattern holds 32 bits: past that a frame or readout
+    fails before it hashes or allocates, instead of dropping the high bits."""
+    def no_hash(*args):
+        raise AssertionError("hashed a frame before checking n_eff")
+
+    monkeypatch.setattr(hyperspace, "sign_bits", no_hash)
+    message = "a ladder frame holds at most 32 noise bits, got n_eff=33"
+    with pytest.raises(ValueError, match=message):
+        ladder_frame(7, 33, 0, 64)
+    sys33 = build_reference_system(7, 33)
+    with pytest.raises(ValueError, match=message):
+        carrier_set_readout(sys33, [0], 64, max_n=40)
+    wire = materialize(sys33.source, Product((0,)), 0, 64)
+    with pytest.raises(ValueError, match=message):
+        correlation_sweep(wire, sys33, max_n=40)
+
+
+RHOS = np.array([0.5, -0.25, 0.0, 1.0, -0.0, 0.125, 0.5, -1.0])
+
+#: Everything a report reader may do with a correlations table.
+LIST_READS = {
+    "eq": lambda x: x == ROWS, "eq_reflected": lambda x: ROWS == x,
+    "ne": lambda x: x != ROWS, "ne_reflected": lambda x: ROWS != x,
+    "eq_lazy": lambda x: x == add_correlations({}, RHOS, 3)["correlations"],
+    "len": len, "bool": bool, "iter": lambda x: [*iter(x)],
+    "index_0": lambda x: x[0], "index_-1": lambda x: x[-1], "slice": lambda x: x[1:7:2],
+    "in": lambda x: ROWS[5] in x, "reversed": lambda x: [*reversed(x)],
+    "index": lambda x: x.index(ROWS[6]), "count": lambda x: x.count(ROWS[0]),
+    "copy": lambda x: x.copy(), "repr": repr,
+    "json": json.dumps, "json_indent": lambda x: json.dumps(x, indent=2),
+    "deepcopy": copy.deepcopy, "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "add": lambda x: x + ["end"], "add_reflected": lambda x: ["start"] + x,
+    "append": lambda x: (x.append("end"), x)[1],
+    "sort": lambda x: (x.sort(key=lambda row: row["rho"]), x)[1],
+}
+ROWS = [{"candidate": c, "rho": r} for c, r in zip(format_values(range(8), 3), RHOS.tolist())]
+
+
+@pytest.mark.parametrize("read", sorted(LIST_READS))
+@pytest.mark.parametrize("built", [False, True])
+def test_correlations_rows_read_as_the_eager_list(read, built):
+    """A Correlations builds its rows on the first read or change, and every
+    list operation, json, deepcopy and pickle then see the list of them."""
+    table = add_correlations({}, RHOS, 3)["correlations"]
+    assert list.__len__(table) == 0  # not built yet
+    if built:
+        table[0]
+    got, want = LIST_READS[read](table), LIST_READS[read](copy.deepcopy(ROWS))
+    assert type(got) is type(want) or type(got) is Correlations
+    assert got == want
+    assert list.__len__(table) > 0
+    if type(got) is Correlations:  # a copy keeps the columns
+        assert (got.n_eff, got.labels, got.rhos) == (3, table.labels, RHOS.tolist())
