@@ -73,7 +73,6 @@ def _csv(columns: Sequence[str], rows: Iterable[Sequence | str]) -> str:
 
 
 _str = json.encoder.encode_basestring_ascii
-_WORDS = {None: "null", True: "true", False: "false"}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -82,30 +81,9 @@ def _float(v: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-#: Encoders of the exact scalar types, for list items and dict values.
+#: Encoders of the exact scalar types.
 _SCALARS = {str: _str, float: _float, int: int.__repr__,
-            bool: _WORDS.__getitem__, type(None): _WORDS.__getitem__}
-
-
-def _scalar(v) -> str | None:
-    """A scalar as ``json`` writes it, tested in ``json``'s type order;
-    None for anything else."""
-    if isinstance(v, str):
-        return _str(v)
-    if v is None or v is True or v is False:
-        return _WORDS[v]
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
-    return None
-
-
-def _key(k) -> str:
-    text = k if isinstance(k, str) else _scalar(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return _str(text)
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda v: "null"}
 
 
 @functools.cache
@@ -119,34 +97,35 @@ def _row_heads(n_eff: int, nl: str) -> tuple[str, ...]:
 
 
 def _json(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, for every acyclic
-    value ``json`` writes without a ``default``; ``nl`` is the newline
-    and indent of the level ``obj`` sits at.  A :class:`Correlations` of
-    finite floats is written from its rho column in one join."""
-    text = _scalar(obj)
-    if text is not None:
-        return text
+    """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is the newline and
+    indent of the level ``obj`` sits at.  What reports hold has a fast path:
+    exact scalars, exact lists, exact dicts with str keys, and a
+    :class:`Correlations` of finite floats, written from its rho column in one
+    join.  Every other value is ``json.dumps``'s, re-indented: its indent is
+    ``nl`` at each level and its ASCII output holds no other newline."""
+    kind = type(obj)
+    if (kind is Correlations and set(map(type, obj.rhos)) == {float}
+            and math.isfinite(sum(obj.rhos))):  # no NaN or infinity
+        parts = [None] * (2 * len(obj.rhos))  # heads and rhos, interleaved for one join
+        parts[::2] = _row_heads(obj.n_eff, nl)
+        parts[1::2] = map(float.__repr__, obj.rhos)
+        return "".join(parts) + nl + "  }" + nl + "]"
     inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        # before any truth test, which would build a Correlations' rows
-        if (isinstance(obj, Correlations) and set(map(type, obj.rhos)) == {float}
-                and math.isfinite(sum(obj.rhos))):  # no NaN or infinity
-            parts = [None] * (2 * len(obj.rhos))  # heads and rhos, interleaved for one join
-            parts[::2] = _row_heads(obj.n_eff, nl)
-            parts[1::2] = map(float.__repr__, obj.rhos)
-            return "".join(parts) + nl + "  }" + nl + "]"
+    if kind is list:
         if not obj:
             return "[]"
         return "[" + inner + ("," + inner).join([
             enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner)
             for v in obj]) + nl + "]"
-    if isinstance(obj, dict):
+    if kind is dict and all(type(k) is str for k in obj):
         if not obj:
             return "{}"
         return "{" + inner + ("," + inner).join([
-            _key(k) + ": " + (enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner))
+            _str(k) + ": " + (enc(v) if (enc := _SCALARS.get(type(v))) else _json(v, inner))
             for k, v in obj.items()]) + nl + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if enc := _SCALARS.get(kind):
+        return enc(obj)
+    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> Result:
@@ -189,8 +168,8 @@ def _cmd_encode_decode(args: argparse.Namespace) -> Result:
 
 def _cmd_holographic(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
-    string_sets = ([[parse_bits(s) for s in args.strings.split(",")]] if args.strings
-                   else [[int_to_bits(v, sys_.n_eff)] for v in range(1 << sys_.n_eff)])
+    string_sets = ([[int_to_bits(v, sys_.n_eff)] for v in range(1 << sys_.n_eff)]
+                   if args.strings is None else [[parse_bits(s) for s in args.strings.split(",")]])
     runs = [holographic_demo(sys_, strings, args.d, args.l,
                              threshold=args.threshold, max_n=args.max_n)
             for strings in string_sets]
@@ -212,7 +191,7 @@ def _cmd_noncommute(args: argparse.Namespace) -> Result:
     if args.i is None and args.b is not None:
         raise ValueError("--b needs --i: without --i every (i, b) pair is run")
     sys_ = build_reference_system(args.seed, args.n, args.k)
-    x = encode_string(sys_, parse_bits(args.x) if args.x else (0,) * sys_.n_eff)
+    x = encode_string(sys_, (0,) * sys_.n_eff if args.x is None else parse_bits(args.x))
     pairs = [(args.i, args.b or 0)] if args.i is not None else sys_.pairs()
     runs = [noncommute_demo(sys_, x, i, b, args.d, args.l) for i, b in pairs]
     columns = ("i", "b", "cross_rho", "self_rho_ab", "self_rho_ba")
@@ -248,14 +227,14 @@ def _emit(args: argparse.Namespace, result: Result) -> int:
     """The one place the CLI writes output; returns the exit status.
     Files are written first, so a failed write leaves stdout empty."""
     body = result.body
-    if body is None and (args.out or result.body_on_stdout):
+    if body is None and (args.out is not None or result.body_on_stdout):
         body = _json({"schema": SCHEMA_VERSION, "subcommand": args.command,
                       **result.report}) + "\n"
-    if args.out:
+    if args.out is not None:
         _write(args.out, body)
-    if result.table and args.csv:
+    if result.table and args.csv is not None:
         _write(args.csv, _csv(*result.table))
-    if result.body_on_stdout and not args.out:
+    if result.body_on_stdout and args.out is None:
         sys.stdout.write(body)
     else:
         verdict = [f"ok: {str(result.report['ok']).lower()}"] if "ok" in result.report else []

@@ -230,16 +230,22 @@ def dump_window(w: Window, fh: BinaryIO) -> None:
 
 
 def _read_exactly(fh: BinaryIO, size: int, part: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated window dump: {part} needs {size} bytes, got {len(data)}")
-    return data
+    """``size`` bytes of ``fh``, read at most 1 MiB a call: a buffered file
+    allocates what it is asked for, so a header claiming more than the file
+    holds fails as truncated before a buffer that large exists."""
+    chunks, got = [], 0
+    while got < size and (chunk := fh.read(min(size - got, 1 << 20))):
+        chunks.append(chunk)
+        got += len(chunk)
+    if got != size:
+        raise ValueError(f"truncated window dump: {part} needs {size} bytes, got {got}")
+    return b"".join(chunks)
 
 
 def load_window(fh: BinaryIO) -> Window:
     """Read a window written by :func:`dump_window`; a malformed dump
-    (truncated, unknown kind, out-of-range frame, trailing bytes) raises
-    ValueError."""
+    (truncated, unknown kind, out-of-range frame, trailing bytes, a padding
+    bit set) raises ValueError."""
     magic, seed, start, length, kind, elen = _HEADER.unpack(
         _read_exactly(fh, _HEADER.size, "header"))
     if magic != _MAGIC:
@@ -256,6 +262,8 @@ def load_window(fh: BinaryIO) -> Window:
         raise ValueError("trailing bytes after the window payload")
     if kind == 0:
         words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
+        if int(words[-1]) & ~(MASK64 >> -length % 64):
+            raise ValueError(f"padding bits past the window length {length} are set")
         return Window(start=start, length=length, seed=seed, expr=expr, words=words)
     ints = np.frombuffer(payload, dtype="<i4").astype(np.int32)
     return Window(start=start, length=length, seed=seed, expr=expr, ints=ints)

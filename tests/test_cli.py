@@ -292,6 +292,11 @@ def golden_digest(tmp_path, capsys, argv, with_out, with_csv):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_bytes(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to the terminal
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a report value left cli._json's fast paths")
+
+    monkeypatch.setattr(json, "dumps", no_fallback)
     argv, with_out, with_csv, digest = GOLDEN[case]
     assert golden_digest(tmp_path, capsys, argv, with_out, with_csv) == digest
 
@@ -325,11 +330,20 @@ def test_noncommute_b_needs_i(capsys, tmp_path):
     assert [(r["i"], r["b"]) for r in json.loads(out_path.read_text())["runs"]] == [(2, 0)]
 
 
-@pytest.mark.parametrize("flag", ["--out", "--csv"])
-def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
-    missing = tmp_path / "missing" / "file"
-    code, out, err = run_cli(capsys, "randshift", "--n", "1", "--l", "1000",
-                             flag, str(missing))
+RANDSHIFT = ["randshift", "--n", "1", "--l", "1000"]
+
+
+@pytest.mark.parametrize("argv, flag, path", [
+    pytest.param(RANDSHIFT, "--out", "missing/file", id="--out"),
+    pytest.param(RANDSHIFT, "--csv", "missing/file", id="--csv"),
+    # an empty path is a path that cannot be opened, not an absent flag
+    pytest.param(RANDSHIFT, "--out", "", id="--out-empty"),
+    pytest.param(RANDSHIFT, "--csv", "", id="--csv-empty"),
+    pytest.param(["capacity", "--n", "3"], "--out", "", id="capacity-out-empty"),
+    pytest.param(["ortho", "--n", "2", "--l", "1000"], "--out", "", id="ortho-out-empty"),
+])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, path):
+    code, out, err = run_cli(capsys, *argv, flag, str(tmp_path / path) if path else "")
     assert code == 2 and out == ""
     assert "No such file or directory" in err
 
@@ -346,6 +360,9 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, flag):
      "negative shifts are not represented; shift the other operand"),
     (["holographic", "--n", "3", "--d", "-1", "--l", "0", "--strings", "010,010"],
      "duplicate members silently double amplitude; refusing"),
+    # an empty flag value is a value, not an absent flag
+    (["holographic", "--n", "3", "--l", "1000", "--strings", ""], "expected 3 bits, got 0"),
+    (["noncommute", "--n", "2", "--l", "1000", "--x", ""], "expected 2 bits, got 0"),
 ])
 def test_readout_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

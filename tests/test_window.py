@@ -250,6 +250,17 @@ def test_load_rejects_truncated_dump(cut):
         load_window(io.BytesIO(dumped()[:cut]))
 
 
+def test_load_rejects_header_claiming_more_than_the_file_holds(tmp_path):
+    """A 2**61-sample header over a 16-byte body fails as truncated, without
+    asking the file for a 2**58-byte read."""
+    raw = bytearray(dumped())
+    raw[20:28] = (1 << 61).to_bytes(8, "little")
+    path = tmp_path / "huge.nbw"
+    path.write_bytes(raw)
+    with open(path, "rb") as fh, pytest.raises(ValueError, match="truncated"):
+        load_window(fh)
+
+
 def test_load_rejects_unknown_kind():
     raw = bytearray(dumped())
     raw[28] = 7
