@@ -32,6 +32,7 @@ from .hyperspace import (
     DEFAULT_MAX_N,
     DEFAULT_THRESHOLD,
     BitString,
+    Correlations,
     DetectionResult,
     bits_to_int,
     correlation_sweep,

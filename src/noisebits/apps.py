@@ -96,6 +96,11 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     }, rhos, sys.n_eff)
 
 
+def _check_sigma_window(length: int) -> None:
+    if length <= 25:  # 5 * L**-0.5 >= 1 >= |rho|: the 5-sigma check could not fail
+        raise ValueError(f"a 5-sigma check needs a window of more than 25 samples, got {length}")
+
+
 def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
                     length: int) -> dict:
     """Compare multiply-then-shift against shift-then-multiply.
@@ -107,6 +112,7 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     """
     if d < 1:
         raise ValueError("need a shift of at least one period")
+    _check_sigma_window(length)
     ref = sys.reference_noise(i, b)
     ab = multiply(shift(x, d), ref)        # A after B
     ba = shift(multiply(x, ref), d)        # B after A
@@ -184,6 +190,7 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     every reference with one global guess restores only those whose
     assigned shift happens to equal the guess.
     """
+    _check_sigma_window(length)
     ref = sys.reference_noise(i, b)  # validates (i, b) before the lookup
     r = assignment[(i, b)]
     hidden = shift(ref, r)

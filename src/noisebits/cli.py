@@ -37,6 +37,7 @@ from .hyperspace import (
     DEFAULT_THRESHOLD,
     Correlations,
     _candidate_labels,
+    _check_capacity,
     encode_string,
     int_to_bits,
     parse_bits,
@@ -97,12 +98,12 @@ def _row_heads(n_eff: int, nl: str) -> tuple[str, ...]:
 
 
 def _json(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is the newline and
-    indent of the level ``obj`` sits at.  What reports hold has a fast path:
-    exact scalars, exact lists, exact dicts with str keys, and a
-    :class:`Correlations` of finite floats, written from its rho column in one
-    join.  Every other value is ``json.dumps``'s, re-indented: its indent is
-    ``nl`` at each level and its ASCII output holds no other newline."""
+    """``json.dumps(obj, indent=2, default=Correlations.rows)``, byte for byte; ``nl`` is
+    the newline and indent of the level ``obj`` sits at.  What reports hold has a fast
+    path: exact scalars, exact lists, exact dicts with str keys, and a
+    :class:`Correlations` of finite floats, written from its rho column in one join.
+    Every other value is ``json.dumps``'s, re-indented: its indent is ``nl`` at each
+    level and its ASCII output holds no other newline."""
     kind = type(obj)
     if (kind is Correlations and set(map(type, obj.rhos)) == {float}
             and math.isfinite(sum(obj.rhos))):  # no NaN or infinity
@@ -125,7 +126,7 @@ def _json(obj, nl: str = "\n") -> str:
             for k, v in obj.items()]) + nl + "}"
     if enc := _SCALARS.get(kind):
         return enc(obj)
-    return json.dumps(obj, indent=2).replace("\n", nl)
+    return json.dumps(obj, indent=2, default=Correlations.rows).replace("\n", nl)
 
 
 def _cmd_capacity(args: argparse.Namespace) -> Result:
@@ -168,6 +169,8 @@ def _cmd_encode_decode(args: argparse.Namespace) -> Result:
 
 def _cmd_holographic(args: argparse.Namespace) -> Result:
     sys_ = build_reference_system(args.seed, args.n, args.k)
+    if args.strings is None:  # before the 2**n_eff singleton sets are built
+        _check_capacity(sys_.n_eff, args.max_n)
     string_sets = ([[int_to_bits(v, sys_.n_eff)] for v in range(1 << sys_.n_eff)]
                    if args.strings is None else [[parse_bits(s) for s in args.strings.split(",")]])
     runs = [holographic_demo(sys_, strings, args.d, args.l,
@@ -180,11 +183,10 @@ def _cmd_holographic(args: argparse.Namespace) -> Result:
                    for r in runs],
                   table=(("input", "candidate", "rho"),
                          # a run's lines in one join: its input cell quoted once, then the
-                         # label and %.6g rho columns (bit strings hold no "%"); "is not
-                         # None", as a truth test would build the rows
+                         # label and %.6g rho columns (bit strings hold no "%")
                          ("".join(map((_cell(",".join(r["input"])) + ",%s,%.6g\n").__mod__,
                                       zip(c.labels, c.rhos)))
-                          for r in runs if (c := r.get("correlations")) is not None)))
+                          for r in runs if (c := r.get("correlations")))))
 
 
 def _cmd_noncommute(args: argparse.Namespace) -> Result:

@@ -150,6 +150,7 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
                   bits: Sequence[int],
                   threshold: float = DEFAULT_THRESHOLD) -> DetectionResult:
     """Correlate the wire window against one candidate carrier."""
+    _check_threshold(threshold)
     _check_same_source(signal_window, sys)
     candidate = materialize(sys.source, encode_string(sys, bits),
                             signal_window.start, signal_window.length)
@@ -334,55 +335,27 @@ def _candidate_labels(n_eff: int) -> tuple[str, ...]:
     return tuple(format_values(range(1 << n_eff), n_eff))
 
 
-class Correlations(list):
-    """Every candidate's ``{"candidate", "rho"}`` row, keeping ``n_eff`` and the ``labels``
-    and ``rhos`` columns for the CLI to write tables from.  The rows are built the first
-    time a list method reads or changes them; from then on it is a plain list of them.  A
-    snapshot: nothing in the package edits it after :func:`add_correlations`, and an edit
-    would not reach a column."""
+@dataclass(frozen=True)
+class Correlations:
+    """A report's correlations table: every candidate's rho, in value order.  ``rows()``
+    is its ``{"candidate", "rho"}`` list, so ``json.dumps(report,
+    default=Correlations.rows)`` writes a report that holds one."""
 
-    _unbuilt = False  # an unpickled or copied instance gets its rows from its source
+    n_eff: int
+    rhos: tuple[float, ...]
 
-    def __init__(self, n_eff: int, rhos: np.ndarray):
-        self.n_eff, self.labels, self.rhos = n_eff, _candidate_labels(n_eff), rhos.tolist()
-        self._unbuilt = True
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _candidate_labels(self.n_eff)
 
-    def _build(self) -> None:
-        if self._unbuilt:
-            self._unbuilt = False
-            list.extend(self, [{"candidate": c, "rho": r}
-                               for c, r in zip(self.labels, self.rhos)])
-
-    def __radd__(self, other):  # so that ``list.__add__`` finds the rows it reads directly
-        self._build()
-        return NotImplemented
-
-
-def _building(method):
-    """``method`` of ``list``, once every unbuilt :class:`Correlations` among its
-    arguments has its rows: list methods read another list's items directly."""
-    @functools.wraps(method)
-    def build_first(*args, **kwargs):
-        for a in args:
-            if isinstance(a, Correlations):
-                a._build()
-        return method(*args, **kwargs)
-    return build_first
-
-
-for _name in ("__add__", "__contains__", "__delitem__", "__eq__", "__ge__", "__getitem__",
-              "__gt__", "__iadd__", "__imul__", "__iter__", "__le__", "__len__", "__lt__",
-              "__mul__", "__ne__", "__reduce_ex__", "__repr__", "__reversed__", "__rmul__",
-              "__setitem__", "__sizeof__", "append", "clear", "copy", "count", "extend",
-              "index", "insert", "pop", "remove", "reverse", "sort"):
-    setattr(Correlations, _name, _building(getattr(list, _name)))
-del _name
+    def rows(self) -> list[dict]:
+        return [{"candidate": c, "rho": r} for c, r in zip(self.labels, self.rhos)]
 
 
 def add_correlations(report: dict, rhos: np.ndarray, n_eff: int) -> dict:
     """Append every candidate's rho to ``report``, as :class:`Correlations`, when n_eff <= 10."""
     if n_eff <= 10:
-        report["correlations"] = Correlations(n_eff, rhos)
+        report["correlations"] = Correlations(n_eff, tuple(rhos.tolist()))
     return report
 
 
@@ -424,6 +397,7 @@ def round_trip_run(seed: int, n_bits: int, m_strings: int,
     run is one reproducible experiment.
     """
     sys = build_reference_system(seed, n_bits, extra_shift_rounds)
+    _check_capacity(sys.n_eff, max_n)  # before anything of size 2**n_eff
     if not 1 <= m_strings <= 1 << sys.n_eff:
         raise ValueError(f"m_strings must be in 1..2**n_eff = 1..{1 << sys.n_eff}, "
                          f"got {m_strings}")

@@ -245,7 +245,8 @@ def _read_exactly(fh: BinaryIO, size: int, part: str) -> bytes:
 def load_window(fh: BinaryIO) -> Window:
     """Read a window written by :func:`dump_window`; a malformed dump
     (truncated, unknown kind, out-of-range frame, trailing bytes, a padding
-    bit set) raises ValueError."""
+    bit set, a product in an int32 dump or a sum in a packed one, a sample
+    no sum of the expression's m members takes) raises ValueError."""
     magic, seed, start, length, kind, elen = _HEADER.unpack(
         _read_exactly(fh, _HEADER.size, "header"))
     if magic != _MAGIC:
@@ -256,6 +257,9 @@ def load_window(fh: BinaryIO) -> Window:
         raise ValueError(f"window frame [{start}, +{length}) out of range")
     expr_text = _read_exactly(fh, elen, "expression").decode()
     expr = parse_expr(expr_text) if expr_text else None
+    if expr is not None and isinstance(expr, Superposition) != (kind == 1):
+        raise ValueError(f"a kind {kind} dump holds a {type(expr).__name__}: "
+                         "products are packed (kind 0), sums int32 (kind 1)")
     payload = _read_exactly(fh, 8 * ((length + 63) // 64) if kind == 0 else 4 * length,
                             "payload")
     if fh.read(1):
@@ -266,4 +270,8 @@ def load_window(fh: BinaryIO) -> Window:
             raise ValueError(f"padding bits past the window length {length} are set")
         return Window(start=start, length=length, seed=seed, expr=expr, words=words)
     ints = np.frombuffer(payload, dtype="<i4").astype(np.int32)
+    if expr is not None:  # m terms of +-1 sum to -m, -m + 2, ..., m
+        m, v = len(expr.members), ints.astype(np.int64)
+        if (np.abs(v) > m).any() or ((v + m) & 1).any():
+            raise ValueError(f"int32 samples outside the values of a {m}-member sum")
     return Window(start=start, length=length, seed=seed, expr=expr, ints=ints)

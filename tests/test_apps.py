@@ -91,7 +91,7 @@ def test_holographic_demo_out_of_range_member_vanishes():
     assert report["decoded"] == ["1111"]
     assert report["out_of_range"] == [{"string": "1000", "reason": "bit-collision"}]
     # the vanished carrier shows up nowhere: every candidate stays off threshold
-    rhos = {c["candidate"]: c["rho"] for c in report["correlations"]}
+    rhos = dict(zip(report["correlations"].labels, report["correlations"].rhos))
     assert sum(r > 0.5 for r in rhos.values()) == 1
 
 

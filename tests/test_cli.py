@@ -348,6 +348,9 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, p
     assert "No such file or directory" in err
 
 
+SHORT_WINDOW = "a 5-sigma check needs a window of more than 25 samples"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["encode-decode", "--n", "4", "--l", "0"], "window length must be at least 1, got 0"),
     (["holographic", "--n", "3", "--d", "1", "--l", "0", "--strings", "010"],
@@ -363,6 +366,14 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, p
     # an empty flag value is a value, not an absent flag
     (["holographic", "--n", "3", "--l", "1000", "--strings", ""], "expected 3 bits, got 0"),
     (["noncommute", "--n", "2", "--l", "1000", "--x", ""], "expected 2 bits, got 0"),
+    # capacity is checked before anything of size 2**n_eff is built
+    (["encode-decode", "--n", "1", "--k", "1000000000000"],
+     "capacity exceeded: raise max_n explicitly (n_eff=1000000000001, max_n=14)"),
+    (["holographic", "--n", "1", "--k", "1000000000000"],
+     "capacity exceeded: raise max_n explicitly (n_eff=1000000000001, max_n=14)"),
+    # at L <= 25, 5 * L**-0.5 >= 1 >= |rho|: a 5-sigma verdict could not fail
+    (["randshift", "--l", "25"], f"{SHORT_WINDOW}, got 25"),
+    (["noncommute", "--l", "25"], f"{SHORT_WINDOW}, got 25"),
 ])
 def test_readout_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -466,12 +477,16 @@ def test_holographic_report_and_table_leave_rows_unbuilt(capsys, monkeypatch, tm
         tables.append(report["correlations"])
         return report
 
+    def no_rows(table):
+        raise AssertionError("built a correlations table's row dicts")
+
     monkeypatch.setattr(apps, "add_correlations", recording)
+    monkeypatch.setattr(hyperspace.Correlations, "rows", no_rows)
     out_path, csv_path = tmp_path / "holo.json", tmp_path / "holo.csv"
     code, _, _ = run_cli(capsys, "holographic", "--n", "5", "--k", "1", "--d", "2",
                          "--strings", "0110100101", "--l", "4096",
                          "--out", str(out_path), "--csv", str(csv_path))
     assert code == 0 and len(tables) == 1
-    assert list.__len__(tables[0]) == 0  # no row dict was built
-    assert json.loads(out_path.read_bytes())["runs"][0]["correlations"] == tables[0]
-    assert len(csv_path.read_bytes().splitlines()) == 1 + len(tables[0]) == 1025
+    monkeypatch.undo()
+    assert json.loads(out_path.read_bytes())["runs"][0]["correlations"] == tables[0].rows()
+    assert len(csv_path.read_bytes().splitlines()) == 1 + len(tables[0].rhos) == 1025

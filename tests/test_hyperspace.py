@@ -169,6 +169,8 @@ def test_readout_rejects_non_finite_threshold(threshold):
         decode_superposition(w, sys, threshold=threshold)
     with pytest.raises(ValueError, match="finite"):
         decode_report(w, sys, threshold=threshold)
+    with pytest.raises(ValueError, match="finite"):
+        detect_string(w, sys, (0, 1, 0, 1), threshold=threshold)
 
 
 @pytest.mark.parametrize("m_strings", [0, -1, 17])
@@ -288,7 +290,7 @@ def test_decode_report_schema():
     assert set(report) == {"seed", "N", "k", "m", "L", "threshold",
                            "detected", "correlations"}
     assert report["detected"] == sorted(format_bits(s) for s in strings)
-    assert len(report["correlations"]) == 64
+    assert len(report["correlations"].rhos) == 64
     assert report["m"] == 2 and report["L"] == 10_000
 
     big = build_reference_system(GOOD_SEED, 11)
@@ -366,11 +368,11 @@ def test_frames_and_readouts_refuse_more_than_32_noise_bits(monkeypatch):
 
 RHOS = np.array([0.5, -0.25, 0.0, 1.0, -0.0, 0.125, 0.5, -1.0])
 
-#: Everything a report reader may do with a correlations table.
+#: Everything a report reader may do with a correlations table's rows.
 LIST_READS = {
     "eq": lambda x: x == ROWS, "eq_reflected": lambda x: ROWS == x,
     "ne": lambda x: x != ROWS, "ne_reflected": lambda x: ROWS != x,
-    "eq_lazy": lambda x: x == add_correlations({}, RHOS, 3)["correlations"],
+    "eq_lazy": lambda x: x == add_correlations({}, RHOS, 3)["correlations"].rows(),
     "len": len, "bool": bool, "iter": lambda x: [*iter(x)],
     "index_0": lambda x: x[0], "index_-1": lambda x: x[-1], "slice": lambda x: x[1:7:2],
     "in": lambda x: ROWS[5] in x, "reversed": lambda x: [*reversed(x)],
@@ -388,15 +390,13 @@ ROWS = [{"candidate": c, "rho": r} for c, r in zip(format_values(range(8), 3), R
 @pytest.mark.parametrize("read", sorted(LIST_READS))
 @pytest.mark.parametrize("built", [False, True])
 def test_correlations_rows_read_as_the_eager_list(read, built):
-    """A Correlations builds its rows on the first read or change, and every
-    list operation, json, deepcopy and pickle then see the list of them."""
+    """A table's ``rows()`` is the eager list of its rows under every list
+    operation, and is the same list after an earlier one was read or changed
+    (``built``): the table is a frozen value that no edit of its rows reaches."""
     table = add_correlations({}, RHOS, 3)["correlations"]
-    assert list.__len__(table) == 0  # not built yet
     if built:
-        table[0]
-    got, want = LIST_READS[read](table), LIST_READS[read](copy.deepcopy(ROWS))
-    assert type(got) is type(want) or type(got) is Correlations
+        LIST_READS[read](table.rows())
+    got, want = LIST_READS[read](table.rows()), LIST_READS[read](copy.deepcopy(ROWS))
+    assert type(got) is type(want)
     assert got == want
-    assert list.__len__(table) > 0
-    if type(got) is Correlations:  # a copy keeps the columns
-        assert (got.n_eff, got.labels, got.rhos) == (3, table.labels, RHOS.tolist())
+    assert table == Correlations(3, tuple(RHOS.tolist())) and table.rows() == ROWS

@@ -8,16 +8,21 @@ whose padding bits must be zero.  The ladder frame's base and flip
 pattern must equal products and comparisons of ``source_sample``.  A
 carrier set read off its ladder frame must equal the sweep of its
 materialized wire.  The report writer must equal
-``json.dumps(indent=2)``.  A dumped window
-must load back unchanged, and every strict prefix of its dump, or the
-dump with one byte appended, must raise ValueError.  Examples are drawn
+``json.dumps(indent=2, default=Correlations.rows)``.  A dumped window
+must load back unchanged, and every strict prefix of its dump, the dump
+with one byte appended, or one whose expression its payload contradicts,
+must raise ValueError.  Examples are drawn
 deterministically, so the suite stays reproducible.
 """
 
+import copy
 import io
 import json
+import pickle
+import struct
 import tracemalloc
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from noisebits.cli import _json
 from noisebits.expr import Product, Superposition, sample, shift
 from noisebits.hyperspace import (
     DEFAULT_MAX_N,
+    Correlations,
     add_correlations,
     carrier_set_readout,
     correlation_sweep,
@@ -322,8 +328,12 @@ def test_add_correlations_labels_and_rhos(n_eff):
         return
     want = [{"candidate": format_bits(int_to_bits(v, n_eff)), "rho": float(r)}
             for v, r in enumerate(rhos)]
-    assert report["correlations"] == want
-    assert all(type(c["rho"]) is float for c in report["correlations"])
+    table = report["correlations"]
+    assert table.rows() == want
+    assert all(type(c["rho"]) is float for c in table.rows())
+    assert table.labels == tuple(row["candidate"] for row in want)
+    for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+        assert twin == table and twin.rows() == want
 
 
 # Report-shaped values for the JSON writer: keys that need escaping or hold
@@ -399,7 +409,7 @@ def test_json_writer_writes_correlations_as_json_dumps(n_eff, depth, length, see
     obj = add_correlations({"k": 0, "ok": True}, rhos, n_eff)
     for _ in range(depth):
         obj = {"runs": [obj, obj]}
-    assert _json(obj) == json.dumps(obj, indent=2)
+    assert _json(obj) == json.dumps(obj, indent=2, default=Correlations.rows)
 
 
 BLOCK_EDGES = [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
@@ -502,9 +512,13 @@ def test_dump_load_round_trip_and_malformed_dumps(seed, start, length, offsets, 
     w = materialize(seed, expr, start, length)
     if not provenance:
         w = negate(w)  # drops expr; a dump then carries an empty expression
-    buf = io.BytesIO()
-    dump_window(w, buf)
-    raw = buf.getvalue()
+
+    def dumped(window):
+        buf = io.BytesIO()
+        dump_window(window, buf)
+        return buf.getvalue()
+
+    raw = dumped(w)
     back = load_window(io.BytesIO(raw))
     assert (back.seed, back.start, back.length, back.expr) == (seed, start, length, w.expr)
     assert (back.words is None, back.ints is None) == (w.words is None, w.ints is None)
@@ -512,6 +526,17 @@ def test_dump_load_round_trip_and_malformed_dumps(seed, start, length, offsets, 
     # a packed dump with its top padding bit set loads as the same values, yet
     # correlates below 1 with them
     padded = [raw[:-1] + bytes([raw[-1] | 0x80])] if packed and length % 64 else []
-    for malformed in (*(raw[:cut] for cut in range(len(raw))), raw + bytes([extra]), *padded):
+    # an expression the dump contradicts: a sum in a packed dump, a product in an
+    # int32 one, or a sample no sum of m terms of +-1 takes (|v| > m, or v - m odd)
+    contradicted = []
+    if provenance:
+        contradicted.append(dumped(replace(w, expr=Superposition((expr,)) if packed
+                                           else expr.members[0])))
+        if not packed:
+            m, payload = len(offsets), len(raw) - 4 * length
+            contradicted += [raw[:payload] + struct.pack("<i", v) + raw[payload + 4:]
+                             for v in (m + 1, -m - 1, int(w.ints[0]) + 1, -2**31)]
+    for malformed in (*(raw[:cut] for cut in range(len(raw))), raw + bytes([extra]), *padded,
+                      *contradicted):
         with pytest.raises(ValueError):
             load_window(io.BytesIO(malformed))
