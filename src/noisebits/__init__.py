@@ -7,7 +7,6 @@ them on one wire, and correlators read them back.
 """
 
 from .apps import (
-    OutOfRange,
     ShiftAssignment,
     holographic_demo,
     holographic_map,
@@ -36,7 +35,6 @@ from .hyperspace import (
     DetectionResult,
     bits_to_int,
     correlation_sweep,
-    decode_integer,
     decode_report,
     decode_superposition,
     default_window_len,
@@ -47,7 +45,6 @@ from .hyperspace import (
     format_bits,
     int_to_bits,
     parse_bits,
-    product_to_string,
     round_trip_run,
 )
 from .reference import (

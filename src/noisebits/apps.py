@@ -33,30 +33,21 @@ from .reference import ReferenceSystem, _header, _ladder_string, carrier_offsets
 from .window import correlate, materialize_many
 
 
-@dataclass(frozen=True)
-class OutOfRange:
-    """Image of a shifted string that is no longer a full product string.
-
-    ``ladder-overflow``: an offset moved past the last reference.
-    ``bit-collision``: two offsets landed on the same noise bit.
-    """
-
-    reason: str
-
-
-def holographic_map(bits: Sequence[int], steps: int = 1) -> BitString | OutOfRange:
+def holographic_map(bits: Sequence[int], steps: int = 1) -> BitString | str:
     """Re-interpretation of a string's carrier after a whole-signal shift.
 
     Works directly on the carrier offsets (each moves up by ``steps``),
     which is the ground truth of the signal algebra; for full product
-    strings this agrees with iterating the single-period map.
+    strings this agrees with iterating the single-period map.  A shifted
+    carrier that is no full product string gives the reason instead:
+    ``"ladder-overflow"`` (an offset moved past the last reference) or
+    ``"bit-collision"`` (two offsets landed on the same noise bit).
     """
     s = check_bits(bits)
     steps = int(steps)
     if steps < 0:
         raise ValueError("shifts are forward-only")
-    image = _ladder_string([o + steps for o in carrier_offsets(s)], len(s))
-    return OutOfRange(image) if isinstance(image, str) else image
+    return _ladder_string([o + steps for o in carrier_offsets(s)], len(s))
 
 
 def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
@@ -78,8 +69,8 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     out_of_range: list[dict] = []
     for s in checked:
         image = holographic_map(s, d)
-        if isinstance(image, OutOfRange):
-            out_of_range.append({"string": format_bits(s), "reason": image.reason})
+        if isinstance(image, str):
+            out_of_range.append({"string": format_bits(s), "reason": image})
         else:
             expected.add(format_bits(image))
 
@@ -96,9 +87,11 @@ def holographic_demo(sys: ReferenceSystem, strings: Sequence[Sequence[int]],
     }, rhos, sys.n_eff)
 
 
-def _check_sigma_window(length: int) -> None:
-    if length <= 25:  # 5 * L**-0.5 >= 1 >= |rho|: the 5-sigma check could not fail
+def _five_sigma(length: int) -> float:
+    """The bound 5 * L**-0.5 of a 5-sigma check on one product of distinct references."""
+    if length <= 25:  # 5 * L**-0.5 >= 1 >= |rho|: the check could not fail
         raise ValueError(f"a 5-sigma check needs a window of more than 25 samples, got {length}")
+    return 5.0 * length ** -0.5
 
 
 def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
@@ -112,13 +105,12 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     """
     if d < 1:
         raise ValueError("need a shift of at least one period")
-    _check_sigma_window(length)
+    tolerance = _five_sigma(length)
     ref = sys.reference_noise(i, b)
     ab = multiply(shift(x, d), ref)        # A after B
     ba = shift(multiply(x, ref), d)        # B after A
     w_ab, w_ba = materialize_many(sys.source, (ab, ba), 0, length)
     cross = correlate(w_ab, w_ba)
-    tolerance = 5.0 * length ** -0.5
     self_ab = correlate(w_ab, w_ab)
     self_ba = correlate(w_ba, w_ba)
     equal = ab == ba
@@ -162,7 +154,10 @@ class ShiftAssignment:
 
         r_max defaults to 2 * n_eff, which both guarantees shifted
         references leave the ladder and makes ``distinct`` drawable.
+        The seed is 64-bit unsigned: ``random.Random`` draws the same for -7 as 7.
         """
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"assignment seed must fit in 64 bits, got {seed}")
         keys = sys.pairs()
         if r_max is None:
             r_max = 2 * sys.n_eff
@@ -190,9 +185,12 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     every reference with one global guess restores only those whose
     assigned shift happens to equal the guess.
     """
-    _check_sigma_window(length)
+    tolerance = _five_sigma(length)
     ref = sys.reference_noise(i, b)  # validates (i, b) before the lookup
     r = assignment[(i, b)]
+    d = r if global_shift is None else int(global_shift)
+    if d < 0:
+        raise ValueError(f"global shift must be >= 0, got {d}")
     hidden = shift(ref, r)
     compensated_expr = shift(ref, r)
     w_hidden, w_ref, w_compensated = materialize_many(
@@ -200,12 +198,10 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     uncompensated = correlate(w_hidden, w_ref)
     compensated = correlate(w_hidden, w_compensated)
 
-    d = r if global_shift is None else int(global_shift)
     assigned = {label: assignment[p] for label, p in zip(sys.labels(), sys.pairs())}
     restored = [label for label, value in assigned.items() if value == d]
 
-    uncomp_ok = (uncompensated == 1.0) if r == 0 else \
-        abs(uncompensated) <= 5.0 * (1.0 / length ** 0.5)
+    uncomp_ok = (uncompensated == 1.0) if r == 0 else abs(uncompensated) <= tolerance
     return {
         **_header(sys),
         "i": i,

@@ -43,7 +43,8 @@ from .hyperspace import (
     parse_bits,
     round_trip_run,
 )
-from .reference import _header, build_reference_system, capacity, orthogonality_matrix
+from .reference import (_check_listed, _header, build_reference_system, capacity,
+                        orthogonality_matrix)
 from .source import DEFAULT_SEED
 
 SCHEMA_VERSION = 1
@@ -193,6 +194,8 @@ def _cmd_noncommute(args: argparse.Namespace) -> Result:
     if args.i is None and args.b is not None:
         raise ValueError("--b needs --i: without --i every (i, b) pair is run")
     sys_ = build_reference_system(args.seed, args.n, args.k)
+    if args.x is None:  # before the n_eff-long all-zeros string is built
+        _check_listed(sys_.n_eff)
     x = encode_string(sys_, (0,) * sys_.n_eff if args.x is None else parse_bits(args.x))
     pairs = [(args.i, args.b or 0)] if args.i is not None else sys_.pairs()
     runs = [noncommute_demo(sys_, x, i, b, args.d, args.l) for i, b in pairs]

@@ -38,8 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .expr import Product, Superposition, canonical_str, superpose
-from .reference import (ReferenceSystem, _header, _ladder_string, build_reference_system,
-                        carrier_offsets)
+from .reference import ReferenceSystem, _header, build_reference_system, carrier_offsets
 from .source import BLOCK, sign_bits
 from .window import Window, correlate, materialize
 
@@ -89,21 +88,9 @@ def encode_string(sys: ReferenceSystem, bits: Sequence[int]) -> Product:
     return Product(carrier_offsets(check_bits(bits, sys.n_eff)))
 
 
-def product_to_string(p: Product) -> BitString:
-    """Inverse of :func:`encode_string`; rejects partial or clashing carriers."""
-    s = _ladder_string(p.offsets, len(p.offsets))
-    if isinstance(s, str):
-        raise ValueError(f"{p} is not a full product-string carrier")
-    return s
-
-
 def encode_integer(sys: ReferenceSystem, value: int) -> Product:
     """Carrier of an integer, bit i of the value on noise bit i + 1."""
     return encode_string(sys, int_to_bits(value, sys.n_eff))
-
-
-def decode_integer(p: Product) -> int:
-    return bits_to_int(product_to_string(p))
 
 
 def encode_set(sys: ReferenceSystem, strings: Iterable[Sequence[int]]) -> Superposition:
@@ -301,6 +288,8 @@ def carrier_set_readout(sys: ReferenceSystem, values: Sequence[int], length: int
     for v in values:
         if not 0 <= v < 1 << n:
             raise ValueError(f"carrier values must lie in 0..{(1 << n) - 1}, got {v}")
+    if len(set(values)) != len(values):  # Superposition's check
+        raise ValueError("duplicate members silently double amplitude; refusing")
     table = np.bincount(values, minlength=1 << n)
     table = walsh_hadamard(table).astype(np.int32)  # W_S: the wire is base * W_S[pattern]
     # after W_S's float64 buffers; at d = 0 only patterns are counted, so no base

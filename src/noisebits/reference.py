@@ -23,6 +23,18 @@ from .source import NoiseSource, as_source
 from .window import correlate, materialize_many
 
 
+#: Most noise bits whose 2 * n_eff references are listed one by one (``pairs()``).
+MAX_LISTED_BITS = 256
+#: Largest N + M/2 of a capacity: 2**14284 has 4300 digits, the most CPython prints by default.
+MAX_CAPACITY_BITS = 14_284
+
+
+def _check_listed(n_eff: int) -> None:
+    if n_eff > MAX_LISTED_BITS:
+        raise ValueError(f"too many noise bits to list their references: "
+                         f"n_eff={n_eff}, at most {MAX_LISTED_BITS}")
+
+
 @dataclass(frozen=True)
 class ReferenceSystem:
     """Family of shifted reference noises over one source.
@@ -51,11 +63,6 @@ class ReferenceSystem:
         """Effective noise-bit count N * (1 + k)."""
         return self.n_bits * (1 + self.extra_shift_rounds)
 
-    @property
-    def shift_steps(self) -> int:
-        """Total single-noise shift steps applied by expansion: M = 2kN."""
-        return 2 * self.extra_shift_rounds * self.n_bits
-
     def offset(self, i: int, b: int) -> int:
         """Ladder offset of reference (i, b); injective over valid pairs."""
         self._check_ref(i, b)
@@ -67,6 +74,7 @@ class ReferenceSystem:
 
     def pairs(self) -> list[tuple[int, int]]:
         """Every reference (i, b) in offset order: (1, 0), (1, 1), (2, 0), ..."""
+        _check_listed(self.n_eff)
         return [(i, b) for i in range(1, self.n_eff + 1) for b in (0, 1)]
 
     def references(self) -> list[Product]:
@@ -142,6 +150,8 @@ def capacity(n_bits: int, shift_steps: int) -> CapacityReport:
     if shift_steps < 0 or shift_steps % (2 * n_bits):
         raise ValueError(f"M must equal 2kN for an integer k >= 0, got M={shift_steps}")
     half = shift_steps // 2
+    if n_bits + half > MAX_CAPACITY_BITS:
+        raise ValueError(f"N + M/2 must be at most {MAX_CAPACITY_BITS}, got {n_bits + half}")
     return CapacityReport(
         n_bits=n_bits,
         shift_steps=shift_steps,

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from noisebits.apps import (
-    OutOfRange,
     ShiftAssignment,
     holographic_demo,
     holographic_map,
@@ -35,15 +34,11 @@ def test_holographic_map_all_zeros():
 
 
 def test_holographic_map_collision():
-    image = holographic_map((1, 0, 0))
-    assert isinstance(image, OutOfRange)
-    assert image.reason == "bit-collision"
+    assert holographic_map((1, 0, 0)) == "bit-collision"
 
 
 def test_holographic_map_overflow():
-    image = holographic_map((1, 1))
-    assert isinstance(image, OutOfRange)
-    assert image.reason == "ladder-overflow"
+    assert holographic_map((1, 1)) == "ladder-overflow"
 
 
 def test_holographic_map_identity_step():
@@ -56,12 +51,17 @@ def test_holographic_map_matches_oracle_exhaustively():
     for steps in (1, 2, 3):
         for v in range(16):
             s = int_to_bits(v, 4)
-            got = holographic_map(s, steps)
-            want = oracle_map(s, steps)
-            if isinstance(got, OutOfRange):
-                assert got.reason == want
-            else:
-                assert got == want
+            assert holographic_map(s, steps) == oracle_map(s, steps)
+
+
+def test_holographic_map_gives_a_string_or_one_of_two_reasons():
+    for n in range(1, 6):
+        for v in range(2**n):
+            s = int_to_bits(v, n)
+            for steps in range(2 * n + 1):
+                image = holographic_map(s, steps)
+                assert (image in ("ladder-overflow", "bit-collision") if isinstance(image, str)
+                        else len(image) == n and set(image) <= {0, 1})
 
 
 def test_holographic_map_rejects_backward_steps():

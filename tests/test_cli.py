@@ -48,6 +48,14 @@ def test_capacity_rejects_bad_steps(capsys):
     assert "2kN" in err
 
 
+@pytest.mark.parametrize("k", [10_000, 14_283])
+def test_capacity_prints_in_full_up_to_the_cap(capsys, k):
+    """N + M/2 up to 14284 prints every digit: 2**14284 has 4300."""
+    code, out, _ = run_cli(capsys, "capacity", "--n", "1", "--k", str(k))
+    assert code == 0
+    assert out == f"classical_bits={2**(k + 1)}\ndimension_factor={2**k}\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["capacity"])  # --n missing
@@ -349,6 +357,8 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, p
 
 
 SHORT_WINDOW = "a 5-sigma check needs a window of more than 25 samples"
+TOO_MANY_REFERENCES = ("too many noise bits to list their references: "
+                       "n_eff=1000000000001, at most 256")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -374,6 +384,24 @@ SHORT_WINDOW = "a 5-sigma check needs a window of more than 25 samples"
     # at L <= 25, 5 * L**-0.5 >= 1 >= |rho|: a 5-sigma verdict could not fail
     (["randshift", "--l", "25"], f"{SHORT_WINDOW}, got 25"),
     (["noncommute", "--l", "25"], f"{SHORT_WINDOW}, got 25"),
+    # n_eff is bounded before a per-reference list or an n_eff-long string is built
+    (["ortho", "--n", "1", "--k", "1000000000000", "--l", "100"], TOO_MANY_REFERENCES),
+    (["noncommute", "--n", "1", "--k", "1000000000000", "--l", "100"], TOO_MANY_REFERENCES),
+    (["noncommute", "--n", "1", "--k", "1000000000000", "--i", "1", "--l", "100"],
+     TOO_MANY_REFERENCES),
+    (["randshift", "--n", "1", "--k", "1000000000000", "--l", "100"], TOO_MANY_REFERENCES),
+    (["ortho", "--n", "257", "--l", "100"],
+     "too many noise bits to list their references: n_eff=257, at most 256"),
+    # 2**(N + M/2) is bounded before it is built, and printed in full below the cap
+    (["capacity", "--n", "1", "--k", "1000000000000"],
+     "N + M/2 must be at most 14284, got 1000000000001"),
+    (["capacity", "--n", "1", "--k", "14284"], "N + M/2 must be at most 14284, got 14285"),
+    (["capacity", "--n", "14285"], "N + M/2 must be at most 14284, got 14285"),
+    # random.Random would draw the same shifts for -1 as for 1
+    (["randshift", "--assign-seed", "-1"], "assignment seed must fit in 64 bits, got -1"),
+    (["randshift", "--assign-seed", str(1 << 64)],
+     f"assignment seed must fit in 64 bits, got {1 << 64}"),
+    (["randshift", "--global-d", "-1"], "global shift must be >= 0, got -1"),
 ])
 def test_readout_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -14,7 +14,6 @@ from noisebits.hyperspace import (
     bits_to_int,
     carrier_set_readout,
     correlation_sweep,
-    decode_integer,
     decode_report,
     decode_superposition,
     default_window_len,
@@ -27,7 +26,6 @@ from noisebits.hyperspace import (
     int_to_bits,
     ladder_frame,
     parse_bits,
-    product_to_string,
     round_trip_run,
 )
 from noisebits.reference import build_reference_system
@@ -58,23 +56,6 @@ def test_encoding_injective_exhaustive_n8():
     assert len(seen) == 256
 
 
-def test_product_to_string_round_trip():
-    sys = build_reference_system(42, 5)
-    for v in range(32):
-        bits = int_to_bits(v, 5)
-        assert product_to_string(encode_string(sys, bits)) == bits
-
-
-def test_product_to_string_rejects_partial_carriers():
-    for p in (Product((0, 1)), Product((0, 5)), Product((1,))):
-        if p == Product((1,)):
-            # single offset 1 reads as the one-bit string [1]
-            assert product_to_string(p) == (1,)
-            continue
-        with pytest.raises(ValueError):
-            product_to_string(p)
-
-
 def test_encode_integer_conventions():
     sys = build_reference_system(42, 6)
     assert encode_integer(sys, 0) == encode_string(sys, (0,) * 6)
@@ -84,12 +65,6 @@ def test_encode_integer_conventions():
         encode_integer(sys, 2**6)
     with pytest.raises(ValueError):
         encode_integer(sys, -1)
-
-
-def test_integer_round_trip_exhaustive_n6():
-    sys = build_reference_system(42, 6)
-    for v in range(64):
-        assert decode_integer(encode_integer(sys, v)) == v
 
 
 def test_encode_set_empty_is_zero():
@@ -346,6 +321,21 @@ def test_carrier_set_readout_checks_every_input_before_hashing(monkeypatch, leng
     with pytest.raises(ValueError, match=message):
         carrier_set_readout(build_reference_system(3, n_eff), [0, value], length, d,
                             threshold)
+
+
+def test_carrier_set_readout_rejects_repeated_values(monkeypatch):
+    """A repeated value would double its carrier (rho 2.003 for 5 in [5, 5, 9]),
+    a wire no Superposition holds; it is refused after the other checks,
+    before any of the window is hashed."""
+    def no_hash(*args):
+        raise AssertionError("hashed a frame before checking the inputs")
+
+    monkeypatch.setattr(hyperspace, "sign_bits", no_hash)
+    sys = build_reference_system(5, 6)
+    with pytest.raises(ValueError, match="duplicate members silently double amplitude"):
+        carrier_set_readout(sys, [5, 5, 9], 10_000)
+    with pytest.raises(ValueError, match=r"carrier values must lie in 0\.\.63, got 64"):
+        carrier_set_readout(sys, [64, 64], 10_000)
 
 
 def test_frames_and_readouts_refuse_more_than_32_noise_bits(monkeypatch):

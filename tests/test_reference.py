@@ -31,7 +31,6 @@ def test_three_bit_offsets():
 def test_expanded_system():
     sys = build_reference_system(42, 3, extra_shift_rounds=1)
     assert sys.n_eff == 6
-    assert sys.shift_steps == 6
     offsets = [sys.offset(i, b) for i in range(1, 7) for b in (0, 1)]
     assert offsets == list(range(12))
 
