@@ -144,9 +144,6 @@ class ShiftAssignment:
             if r < 0:
                 raise ValueError(f"shift for ({i},{b}) must be >= 0, got {r}")
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self.shifts[key]
-
     @classmethod
     def draw(cls, sys: ReferenceSystem, seed: int, r_max: int | None = None,
              distinct: bool = False) -> "ShiftAssignment":
@@ -187,18 +184,21 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
     """
     tolerance = _five_sigma(length)
     ref = sys.reference_noise(i, b)  # validates (i, b) before the lookup
-    r = assignment[(i, b)]
+    shifts, pairs = assignment.shifts, sys.pairs()
+    missing, extra = set(pairs) - set(shifts), set(shifts) - set(pairs)
+    if missing or extra:  # before anything is materialized
+        raise ValueError("the assignment must hold one shift per reference: "
+                         f"missing {sorted(missing)}, extra {sorted(extra)}")
+    r = shifts[(i, b)]
     d = r if global_shift is None else int(global_shift)
     if d < 0:
         raise ValueError(f"global shift must be >= 0, got {d}")
     hidden = shift(ref, r)
-    compensated_expr = shift(ref, r)
-    w_hidden, w_ref, w_compensated = materialize_many(
-        sys.source, (hidden, ref, compensated_expr), 0, length)
+    w_hidden, w_ref = materialize_many(sys.source, (hidden, ref), 0, length)
     uncompensated = correlate(w_hidden, w_ref)
-    compensated = correlate(w_hidden, w_compensated)
+    compensated = correlate(w_hidden, w_hidden)  # the true r rebuilds hidden exactly
 
-    assigned = {label: assignment[p] for label, p in zip(sys.labels(), sys.pairs())}
+    assigned = {label: shifts[p] for label, p in zip(sys.labels(), pairs)}
     restored = [label for label, value in assigned.items() if value == d]
 
     uncomp_ok = (uncompensated == 1.0) if r == 0 else abs(uncompensated) <= tolerance
@@ -211,8 +211,7 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
         "assignment": assigned,
         "uncompensated_rho": uncompensated,
         "compensated_rho": compensated,
-        "compensated_exact": compensated == 1.0
-                             and compensated_expr == hidden,
+        "compensated_exact": compensated == 1.0,
         "global_shift": d,
         "restored": restored,
         "restored_count": len(restored),

@@ -48,6 +48,8 @@ from .reference import (_check_listed, _header, build_reference_system, capacity
 from .source import DEFAULT_SEED
 
 SCHEMA_VERSION = 1
+#: Most seeds one ``encode-decode`` runs: it keeps every run's report.
+MAX_SEEDS = 1000
 
 
 class Result(NamedTuple):
@@ -154,6 +156,8 @@ def _cmd_ortho(args: argparse.Namespace) -> Result:
 def _cmd_encode_decode(args: argparse.Namespace) -> Result:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    if args.seeds > MAX_SEEDS:  # before the seed list and the kept reports are built
+        raise ValueError(f"--seeds must be at most {MAX_SEEDS}, got {args.seeds}")
     seeds = list(range(args.seed, args.seed + args.seeds))
     runs = [round_trip_run(s, args.n, args.m_strings, args.l, threshold=args.threshold,
                            max_n=args.max_n, extra_shift_rounds=args.k) for s in seeds]

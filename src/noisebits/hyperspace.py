@@ -39,7 +39,7 @@ import numpy as np
 
 from .expr import Product, Superposition, canonical_str, superpose
 from .reference import ReferenceSystem, _header, build_reference_system, carrier_offsets
-from .source import BLOCK, sign_bits
+from .source import BLOCK, MAX_WINDOW, sign_bits
 from .window import Window, correlate, materialize
 
 #: Classical bit strings are plain tuples of 0/1 ints.
@@ -150,6 +150,8 @@ def _check_frame(length: int, d: int) -> None:
         raise ValueError("negative shifts are not represented; shift the other operand")
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
+    if length > MAX_WINDOW:
+        raise ValueError(f"window length must be at most {MAX_WINDOW}, got {length}")
 
 
 def _ladder_fold(x: np.ndarray, n: int, s: int, k: int) -> np.ndarray:

@@ -47,6 +47,10 @@ DEFAULT_SEED = 42
 #: Keeps all index arithmetic comfortably inside 64-bit words.
 MAX_INDEX = 1 << 62
 
+#: Longest window a command materializes or reads out, checked before any of it
+#: is allocated: a readout's ladder frame takes about 4 bytes a sample, 1 GiB here.
+MAX_WINDOW = 1 << 28
+
 #: Samples per step of the blocked loops (sign_bits, the readout sweep),
 #: a power of two so hash blocks align to the sample index.  A buffer of
 #: 8 bytes per sample, 128 KiB, stays in cache.

@@ -34,7 +34,7 @@ from typing import BinaryIO, Iterable, Sequence
 import numpy as np
 
 from .expr import Product, StreamExpr, Superposition, canonical_str, parse_expr
-from .source import BLOCK, MASK64, MAX_INDEX, NoiseSource, _signs, as_source, sign_bits
+from .source import BLOCK, MASK64, MAX_INDEX, MAX_WINDOW, NoiseSource, _signs, as_source, sign_bits
 
 
 def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
@@ -137,6 +137,8 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
     src = as_source(source)
     if length < 1:
         raise ValueError(f"window length must be at least 1, got {length}")
+    if length > MAX_WINDOW:
+        raise ValueError(f"window length must be at most {MAX_WINDOW}, got {length}")
     if start < 0:
         raise ValueError(f"window start must be non-negative, got {start}")
     for expr in exprs:

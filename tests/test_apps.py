@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from noisebits import apps
 from noisebits.apps import (
     ShiftAssignment,
     holographic_demo,
@@ -181,7 +182,7 @@ def test_random_shift_single_global_guess_restores_one():
     assert report["restored"] == ["V_1_0"]
     assert report["restored_count"] == 1
     # guessing someone else's shift restores exactly that someone
-    other = asn[(2, 1)]
+    other = asn.shifts[(2, 1)]
     report2 = random_shift_demo(sys, asn, 1, 0, 20_000, global_shift=other)
     assert report2["restored"] == ["V_2_1"]
 
@@ -192,3 +193,37 @@ def test_random_shift_rejects_reference_outside_ladder(i, b):
     asn = ShiftAssignment.draw(sys, seed=7)
     with pytest.raises(ValueError):
         random_shift_demo(sys, asn, i, b, 1000)
+
+
+def test_random_shift_materializes_hidden_and_reference_once(monkeypatch):
+    """The compensated stream is the hidden one: exactly two expressions
+    go to materialize_many, the hidden stream and its reference."""
+    sys = build_reference_system(42, 3)
+    asn = ShiftAssignment.draw(sys, seed=7)
+    calls, real = [], apps.materialize_many
+
+    def recording(source, exprs, start, length):
+        calls.append(tuple(exprs))
+        return real(source, exprs, start, length)
+
+    monkeypatch.setattr(apps, "materialize_many", recording)
+    report = random_shift_demo(sys, asn, 2, 1, 1000)
+    ref = sys.reference_noise(2, 1)
+    assert calls == [(shift(ref, asn.shifts[(2, 1)]), ref)]
+    assert report["compensated_rho"] == 1.0 and report["compensated_exact"]
+
+
+@pytest.mark.parametrize("shifts, message", [
+    ({(1, 0): 3}, r"missing \[\(1, 1\), \(2, 0\), \(2, 1\)\], extra \[\]"),
+    ({(1, 0): 3, (1, 1): 1, (2, 0): 4, (2, 1): 2, (9, 9): 1}, r"missing \[\], extra \[\(9, 9\)\]"),
+    ({(1, 0): 3, (1, 1): 1, (2, 0): 4, (2, 1): 2, (0, 0): 1}, r"missing \[\], extra \[\(0, 0\)\]"),
+], ids=["incomplete", "extra-9-9", "extra-0-0"])
+def test_random_shift_rejects_assignment_off_the_ladder(monkeypatch, shifts, message):
+    """An assignment holds one shift per reference, no fewer and no more; the
+    check runs before anything is materialized."""
+    def no_materialize(*args):
+        raise AssertionError("materialized before checking the assignment")
+
+    monkeypatch.setattr(apps, "materialize_many", no_materialize)
+    with pytest.raises(ValueError, match=message):
+        random_shift_demo(build_reference_system(5, 2), ShiftAssignment(shifts), 1, 0, 1000)

@@ -357,6 +357,7 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag, p
 
 
 SHORT_WINDOW = "a 5-sigma check needs a window of more than 25 samples"
+LONG_WINDOW = "window length must be at most 268435456"
 TOO_MANY_REFERENCES = ("too many noise bits to list their references: "
                        "n_eff=1000000000001, at most 256")
 
@@ -402,6 +403,15 @@ TOO_MANY_REFERENCES = ("too many noise bits to list their references: "
     (["randshift", "--assign-seed", str(1 << 64)],
      f"assignment seed must fit in 64 bits, got {1 << 64}"),
     (["randshift", "--global-d", "-1"], "global shift must be >= 0, got -1"),
+    # L and --seeds are bounded before anything of their size is allocated
+    (["noncommute", "--l", "1000000000000"], f"{LONG_WINDOW}, got 1000000000000"),
+    (["ortho", "--n", "2", "--l", "1000000000000"], f"{LONG_WINDOW}, got 1000000000000"),
+    (["randshift", "--l", "1000000000000"], f"{LONG_WINDOW}, got 1000000000000"),
+    (["encode-decode", "--n", "4", "--l", "1000000000000"], f"{LONG_WINDOW}, got 1000000000000"),
+    (["holographic", "--n", "2", "--strings", "01", "--l", "1000000000000"],
+     f"{LONG_WINDOW}, got 1000000000000"),
+    (["encode-decode", "--n", "4", "--seeds", "1000000000000"],
+     "--seeds must be at most 1000, got 1000000000000"),
 ])
 def test_readout_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

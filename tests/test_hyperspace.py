@@ -308,6 +308,8 @@ def test_ladder_frame_rejects_empty_window_and_negative_shift():
     (20_000_000, 1, 0.5, 15, r"capacity exceeded: .* \(n_eff=15, max_n=14\)", 0),
     (20_000_000, 1, 0.5, 14, r"carrier values must lie in 0\.\.16383, got -1", -1),
     (20_000_000, 1, 0.5, 14, r"carrier values must lie in 0\.\.16383, got 16384", 1 << 14),
+    ((1 << 28) + 1, 1, float("nan"), 15,
+     "window length must be at most 268435456, got 268435457", 0),
 ])
 def test_carrier_set_readout_checks_every_input_before_hashing(monkeypatch, length, d,
                                                                threshold, n_eff, message,
