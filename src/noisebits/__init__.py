@@ -22,7 +22,6 @@ from .expr import (
     Superposition,
     canonical_str,
     multiply,
-    parse_expr,
     sample,
     shift,
     superpose,
@@ -58,8 +57,6 @@ from .source import DEFAULT_SEED, MAX_INDEX, NoiseSource, mix64, sample_block, s
 from .window import (
     Window,
     correlate,
-    dump_window,
-    load_window,
     materialize,
     negate,
 )

@@ -15,7 +15,6 @@ expressed by shifting the other operand forward instead.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -106,32 +105,10 @@ def sample(source: NoiseSource | int, expr: StreamExpr, n: int) -> int:
     raise TypeError(f"not a stream expression: {expr!r}")
 
 
-# ----------------------------------------------------------------------
-# Canonical text form, used in window dump headers and reports.
-# Grammar:  product  = "P[" offsets "]"      offsets = "" | "0,3,7"
-#           superpos = "S[" products "]"     products = "" | "P[0],P[1,2]"
-# ----------------------------------------------------------------------
-
-_PRODUCT_RE = re.compile(r"P\[(?:[0-9]+(?:,[0-9]+)*)?\]")
-
-
 def canonical_str(expr: StreamExpr) -> str:
+    """The text spelling that reports print: ``P[0,3]``, ``S[P[0],P[1,2]]``."""
     if isinstance(expr, Product):
         return "P[" + ",".join(str(o) for o in expr.offsets) + "]"
     if isinstance(expr, Superposition):
         return "S[" + ",".join(canonical_str(m) for m in expr.members) + "]"
     raise TypeError(f"not a stream expression: {expr!r}")
-
-
-def parse_expr(text: str) -> StreamExpr:
-    text = text.strip()
-    if _PRODUCT_RE.fullmatch(text):
-        body = text[2:-1]
-        return Product(tuple(int(p) for p in body.split(",")) if body else ())
-    if text.startswith("S[") and text.endswith("]"):
-        body = text[2:-1]
-        parts = _PRODUCT_RE.findall(body)
-        if ",".join(parts) != body:
-            raise ValueError(f"malformed expression: {text!r}")
-        return Superposition(tuple(parse_expr(p) for p in parts))
-    raise ValueError(f"malformed expression: {text!r}")

@@ -20,20 +20,16 @@ bits add into the int32 sum.
 Correlation is computed in exact integer arithmetic and divided once at
 the end, so diagonal correlations are exactly 1.0 and results are
 reproducible bit for bit.
-
-A window can be dumped to a small binary file for debugging; see
-:func:`dump_window` for the layout.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expr import Product, StreamExpr, Superposition, canonical_str, parse_expr
+from .expr import Product, StreamExpr, Superposition
 from .source import BLOCK, MASK64, MAX_INDEX, MAX_WINDOW, NoiseSource, _signs, as_source, sign_bits
 
 
@@ -57,9 +53,10 @@ class Window:
     """Materialized run of an expression over [start, start + length).
 
     Exactly one of ``words`` (packed +-1 samples) and ``ints`` (integer
-    samples) is set.  ``expr`` records provenance for dump headers and
-    detection bookkeeping; it is None for synthetic windows such as the
-    output of :func:`negate`.
+    samples) is set.  ``expr`` records provenance: ``correlation_sweep``
+    checks a wire's width against it and ``decode_report`` counts its
+    members.  It is None for synthetic windows such as the output of
+    :func:`negate`.
     """
 
     start: int
@@ -201,79 +198,3 @@ def negate(w: Window) -> Window:
     if w.words is not None:
         return replace(w, expr=None, words=_clear_padding(~w.words, w.length))
     return replace(w, expr=None, ints=-w.ints)
-
-
-# ----------------------------------------------------------------------
-# Debug dump format (little-endian throughout):
-#   magic   4s   b"NBW1"
-#   seed    u64
-#   start   u64
-#   length  u64
-#   kind    u8   0 = packed product bits, 1 = superposition int32 samples
-#   elen    u32  byte length of the canonical expression string
-#   expr    elen bytes, utf-8 ("" when provenance is unknown)
-#   payload kind 0: ceil(length/64) u64 words; kind 1: length i32 values
-# ----------------------------------------------------------------------
-
-_MAGIC = b"NBW1"
-_HEADER = struct.Struct("<4sQQQBI")
-
-
-def dump_window(w: Window, fh: BinaryIO) -> None:
-    """Write a window to an open binary file."""
-    expr_bytes = (canonical_str(w.expr) if w.expr is not None else "").encode()
-    kind = 0 if w.words is not None else 1
-    fh.write(_HEADER.pack(_MAGIC, w.seed, w.start, w.length, kind, len(expr_bytes)))
-    fh.write(expr_bytes)
-    if kind == 0:
-        fh.write(w.words.astype("<u8").tobytes())
-    else:
-        fh.write(w.ints.astype("<i4").tobytes())
-
-
-def _read_exactly(fh: BinaryIO, size: int, part: str) -> bytes:
-    """``size`` bytes of ``fh``, read at most 1 MiB a call: a buffered file
-    allocates what it is asked for, so a header claiming more than the file
-    holds fails as truncated before a buffer that large exists."""
-    chunks, got = [], 0
-    while got < size and (chunk := fh.read(min(size - got, 1 << 20))):
-        chunks.append(chunk)
-        got += len(chunk)
-    if got != size:
-        raise ValueError(f"truncated window dump: {part} needs {size} bytes, got {got}")
-    return b"".join(chunks)
-
-
-def load_window(fh: BinaryIO) -> Window:
-    """Read a window written by :func:`dump_window`; a malformed dump
-    (truncated, unknown kind, out-of-range frame, trailing bytes, a padding
-    bit set, a product in an int32 dump or a sum in a packed one, a sample
-    no sum of the expression's m members takes) raises ValueError."""
-    magic, seed, start, length, kind, elen = _HEADER.unpack(
-        _read_exactly(fh, _HEADER.size, "header"))
-    if magic != _MAGIC:
-        raise ValueError("not a window dump (bad magic)")
-    if kind not in (0, 1):
-        raise ValueError(f"unknown window kind {kind}: 0 is packed, 1 is int32")
-    if length < 1 or start + length > MAX_INDEX:
-        raise ValueError(f"window frame [{start}, +{length}) out of range")
-    expr_text = _read_exactly(fh, elen, "expression").decode()
-    expr = parse_expr(expr_text) if expr_text else None
-    if expr is not None and isinstance(expr, Superposition) != (kind == 1):
-        raise ValueError(f"a kind {kind} dump holds a {type(expr).__name__}: "
-                         "products are packed (kind 0), sums int32 (kind 1)")
-    payload = _read_exactly(fh, 8 * ((length + 63) // 64) if kind == 0 else 4 * length,
-                            "payload")
-    if fh.read(1):
-        raise ValueError("trailing bytes after the window payload")
-    if kind == 0:
-        words = np.frombuffer(payload, dtype="<u8").astype(np.uint64)
-        if int(words[-1]) & ~(MASK64 >> -length % 64):
-            raise ValueError(f"padding bits past the window length {length} are set")
-        return Window(start=start, length=length, seed=seed, expr=expr, words=words)
-    ints = np.frombuffer(payload, dtype="<i4").astype(np.int32)
-    if expr is not None:  # m terms of +-1 sum to -m, -m + 2, ..., m
-        m, v = len(expr.members), ints.astype(np.int64)
-        if (np.abs(v) > m).any() or ((v + m) & 1).any():
-            raise ValueError(f"int32 samples outside the values of a {m}-member sum")
-    return Window(start=start, length=length, seed=seed, expr=expr, ints=ints)

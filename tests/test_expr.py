@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 
@@ -10,7 +9,6 @@ from noisebits.expr import (
     Product,
     canonical_str,
     multiply,
-    parse_expr,
     sample,
     shift,
     superpose,
@@ -135,27 +133,8 @@ def test_sample_shift_semantics():
         assert sample(src, shift(p, d), n) == sample(src, p, n + d)
 
 
-def test_canonical_str_round_trip():
-    exprs = [
-        CONST_ONE,
-        Product((0, 3, 7)),
-        ZERO,
-        superpose([Product((0,)), Product((1, 2))]),
-    ]
-    for e in exprs:
-        assert parse_expr(canonical_str(e)) == e
+def test_canonical_str_spelling():
     assert canonical_str(Product((0, 3))) == "P[0,3]"
     assert canonical_str(CONST_ONE) == "P[]"
     assert canonical_str(ZERO) == "S[]"
-
-
-def test_parse_rejects_garbage():
-    for text in ("", "Q[1]", "P[1,]", "S[P[0]", "S[x]"):
-        with pytest.raises(ValueError):
-            parse_expr(text)
-
-
-@pytest.mark.parametrize("text", ["P[1,,2]", "P[,1]", "P[1_0]", "S[P[0],P[1,,2]]"])
-def test_parse_names_malformed_offsets(text):
-    with pytest.raises(ValueError, match=re.escape(f"malformed expression: {text!r}")):
-        parse_expr(text)
+    assert canonical_str(superpose([Product((0,)), Product((1, 2))])) == "S[P[0],P[1,2]]"

@@ -1,4 +1,3 @@
-import io
 import random
 
 import numpy as np
@@ -9,8 +8,6 @@ from noisebits.source import MAX_INDEX, NoiseSource
 from noisebits.window import (
     Window,
     correlate,
-    dump_window,
-    load_window,
     materialize,
     materialize_many,
     negate,
@@ -183,50 +180,6 @@ def test_int_int_correlation():
     assert est == rho
 
 
-def test_dump_load_round_trip_packed():
-    w = materialize(42, Product((0, 3, 7)), 12, 100)
-    buf = io.BytesIO()
-    dump_window(w, buf)
-    buf.seek(0)
-    back = load_window(buf)
-    assert (back.start, back.length, back.seed) == (12, 100, 42)
-    assert back.expr == w.expr
-    assert np.array_equal(back.words, w.words)
-
-
-def test_dump_load_round_trip_ints():
-    s = superpose([Product((0,)), Product((1,))])
-    w = materialize(7, s, 0, 65)
-    buf = io.BytesIO()
-    dump_window(w, buf)
-    buf.seek(0)
-    back = load_window(buf)
-    assert back.expr == s
-    assert np.array_equal(back.ints, w.ints)
-
-
-def test_load_rejects_bad_magic():
-    with pytest.raises(ValueError, match="magic"):
-        load_window(io.BytesIO(b"XXXX" + b"\0" * 64))
-
-
-def test_dump_layout_is_pinned():
-    w = materialize(42, Product((0, 3)), 7, 128)
-    buf = io.BytesIO()
-    dump_window(w, buf)
-    raw = buf.getvalue()
-    assert raw[:4] == b"NBW1"
-    assert int.from_bytes(raw[4:12], "little") == 42      # seed
-    assert int.from_bytes(raw[12:20], "little") == 7      # start
-    assert int.from_bytes(raw[20:28], "little") == 128    # length
-    assert raw[28] == 0                                   # packed kind
-    elen = int.from_bytes(raw[29:33], "little")
-    assert raw[33:33 + elen] == b"P[0,3]"
-    words = raw[33 + elen:]
-    assert len(words) == 16
-    assert int.from_bytes(words[:8], "little") == int(w.words[0])
-
-
 def test_windows_are_immutable():
     w = materialize(42, Product((0,)), 0, 100)
     with pytest.raises(ValueError):
@@ -234,55 +187,3 @@ def test_windows_are_immutable():
     s = materialize(42, superpose([Product((0,)), Product((1,))]), 0, 100)
     with pytest.raises(ValueError):
         s.ints[0] = 5
-
-
-def dumped(expr=Product((0, 3)), length=100) -> bytes:
-    buf = io.BytesIO()
-    dump_window(materialize(42, expr, 0, length), buf)
-    return buf.getvalue()
-
-
-@pytest.mark.parametrize("cut", [10, 33, 34, -1])
-def test_load_rejects_truncated_dump(cut):
-    # 10: inside the header; 33: header only; 34: inside the expression;
-    # -1: one byte short of the payload.
-    with pytest.raises(ValueError, match="truncated"):
-        load_window(io.BytesIO(dumped()[:cut]))
-
-
-def test_load_rejects_header_claiming_more_than_the_file_holds(tmp_path):
-    """A 2**61-sample header over a 16-byte body fails as truncated, without
-    asking the file for a 2**58-byte read."""
-    raw = bytearray(dumped())
-    raw[20:28] = (1 << 61).to_bytes(8, "little")
-    path = tmp_path / "huge.nbw"
-    path.write_bytes(raw)
-    with open(path, "rb") as fh, pytest.raises(ValueError, match="truncated"):
-        load_window(fh)
-
-
-def test_load_rejects_unknown_kind():
-    raw = bytearray(dumped())
-    raw[28] = 7
-    with pytest.raises(ValueError, match="kind 7"):
-        load_window(io.BytesIO(bytes(raw)))
-
-
-def test_load_rejects_trailing_bytes():
-    with pytest.raises(ValueError, match="trailing"):
-        load_window(io.BytesIO(dumped() + b"\0"))
-
-
-def test_load_rejects_malformed_expression():
-    raw = dumped()
-    elen = int.from_bytes(raw[29:33], "little")
-    bad = raw[:29] + (7).to_bytes(4, "little") + b"P[1,,2]" + raw[33 + elen:]
-    with pytest.raises(ValueError, match=r"malformed expression: 'P\[1,,2\]'"):
-        load_window(io.BytesIO(bad))
-
-
-def test_load_rejects_empty_frame():
-    raw = bytearray(dumped())
-    raw[20:28] = (0).to_bytes(8, "little")
-    with pytest.raises(ValueError, match="out of range"):
-        load_window(io.BytesIO(bytes(raw)))
