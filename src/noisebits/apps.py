@@ -12,6 +12,7 @@ random shift keeps it recoverable only by whoever knows that shift.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -44,7 +45,7 @@ def holographic_map(bits: Sequence[int], steps: int = 1) -> BitString | str:
     ``"bit-collision"`` (two offsets landed on the same noise bit).
     """
     s = check_bits(bits)
-    steps = int(steps)
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError("shifts are forward-only")
     return _ladder_string([o + steps for o in carrier_offsets(s)], len(s))
@@ -103,6 +104,7 @@ def noncommute_demo(sys: ReferenceSystem, x: Product, i: int, b: int, d: int,
     cross-correlation sits at noise level while each self-correlation
     is exactly 1.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError("need a shift of at least one period")
     tolerance = _five_sigma(length)
@@ -153,6 +155,7 @@ class ShiftAssignment:
         references leave the ladder and makes ``distinct`` drawable.
         The seed is 64-bit unsigned: ``random.Random`` draws the same for -7 as 7.
         """
+        seed = operator.index(seed)
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"assignment seed must fit in 64 bits, got {seed}")
         keys = sys.pairs()
@@ -190,7 +193,7 @@ def random_shift_demo(sys: ReferenceSystem, assignment: ShiftAssignment,
         raise ValueError("the assignment must hold one shift per reference: "
                          f"missing {sorted(missing)}, extra {sorted(extra)}")
     r = shifts[(i, b)]
-    d = r if global_shift is None else int(global_shift)
+    d = r if global_shift is None else operator.index(global_shift)
     if d < 0:
         raise ValueError(f"global shift must be >= 0, got {d}")
     hidden = shift(ref, r)

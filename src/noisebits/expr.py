@@ -15,6 +15,7 @@ expressed by shifting the other operand forward instead.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -33,7 +34,7 @@ class Product:
     offsets: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        counts = Counter(int(o) for o in self.offsets)
+        counts = Counter(operator.index(o) for o in self.offsets)
         kept = tuple(sorted(o for o, c in counts.items() if c % 2))
         for o in kept:
             if o < 0:
@@ -70,7 +71,7 @@ def shift(expr: StreamExpr, periods: int) -> StreamExpr:
 
     sample(shift(e, d), n) == sample(e, n + d) for every n.
     """
-    periods = int(periods)
+    periods = operator.index(periods)
     if periods < 0:
         raise ValueError("negative shifts are not represented; shift the other operand")
     if isinstance(expr, Product):

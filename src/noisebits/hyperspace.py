@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -54,7 +55,7 @@ DEFAULT_THRESHOLD = 0.5
 
 
 def check_bits(bits: Sequence[int], n_eff: int | None = None) -> BitString:
-    out = tuple(int(b) for b in bits)
+    out = tuple(operator.index(b) for b in bits)
     if any(b not in (0, 1) for b in out):
         raise ValueError(f"bit values must be 0 or 1, got {bits!r}")
     if n_eff is not None and len(out) != n_eff:

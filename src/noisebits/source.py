@@ -22,9 +22,19 @@ sign_bits hashes blocks of ``BLOCK`` = 2**14 samples aligned to the
 sample index.  With n = a | j, a a multiple of BLOCK and j < BLOCK,
 rotl64 and mix64's first step ``x ^= x >> 30`` are linear over GF(2), so
 that step of seed ^ rotl64(n, 32) is ``_LINEAR[j]`` XOR the step of
-seed ^ rotl64(a, 32), one constant per block.  The last step leaves bit
-63 as is.  So a block takes six array passes: XOR with the table, the
-two middle steps and a comparison with 2**63.
+seed ^ rotl64(a, 32), one constant k per block.  The last step leaves
+bit 63 as is.  So a window inside one block takes six array passes: XOR
+with the table, the two middle steps and a comparison with 2**63.
+
+A window over several blocks takes five a block after the first.
+``_LINEAR[j]`` sets only the bits of ``_SUPPORT`` (2-15 and 32-45).  XOR
+with the bits of k outside them therefore adds them, so with k = k_in |
+k_out split at ``_SUPPORT``, (_LINEAR[j] ^ k) * M1 = (_LINEAR[j] ^ k_in)
+* M1 + k_out * M1 mod 2**64.  The first block's product is kept as a
+table; a later block with the same k_in is that table plus one constant,
+an add in place of the XOR and the first multiply.  k_in takes bits
+30-31 and 34-47 of the sample index, so the table is rebuilt, in place,
+only where a window crosses a multiple of 2**30.
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ BLOCK = 1 << 14
 #: whose bits are disjoint, so it is j * (2**32 + 4).
 _LINEAR = np.arange(BLOCK, dtype=np.uint64) * np.uint64((1 << 32) + (1 << 2))
 _LINEAR.setflags(write=False)
+#: The bits that ``_LINEAR`` sets: 2-15 and 32-45, all of them at j = BLOCK - 1.
+_SUPPORT = int(_LINEAR[-1])
 _M1, _M2, _S27, _TOP = np.uint64(_MULT1), np.uint64(_MULT2), np.uint64(27), np.uint64(1 << 63)
 
 
@@ -82,32 +94,62 @@ def source_sample(seed: int, n: int) -> int:
     return 1 if mix64((seed & MASK64) ^ rot) >> 63 else -1
 
 
-def sign_bits(seed: int, start: int, length: int) -> np.ndarray:
+def sign_bits(seed: int, start: int, length: int, *, packed: bool = False) -> np.ndarray:
     """Block of sign bits as uint8; 1 encodes +1. Matches ``source_sample``.
-    Hashes one aligned BLOCK at a time on two reused buffers (module docstring)."""
+    Hashes one aligned BLOCK at a time on reused buffers (module docstring).
+
+    With ``packed``, the bits come as uint64 words instead, packed block by
+    block: bit j of word w is sample ``start + 64*w + j``, for a ``start``
+    that is a multiple of 64.  The words past the window are zero, one
+    spare word included."""
     if start < 0:
         raise ValueError(f"start must be non-negative, got {start}")
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
+    if packed and start % 64:
+        raise ValueError(f"a packed window must start at a multiple of 64, got {start}")
     if start + length > MAX_INDEX:
         raise OverflowError(
             f"sample index {start + length} exceeds the supported range (2**62)"
         )
-    out = np.empty(length, dtype=np.uint8)
-    signs = out.view(np.bool_)
-    x = np.empty(min(length, BLOCK), dtype=np.uint64)
-    t = np.empty_like(x)
+    first, end = start - start % BLOCK, start + length
+    x, t = np.empty((2, min(length, BLOCK)), dtype=np.uint64)
+    table = np.empty(BLOCK, dtype=np.uint64) if end > first + BLOCK else None
+    if packed:
+        out = np.zeros(length // 64 + 2, dtype=np.uint64)
+        signs = np.empty(x.size, dtype=np.bool_)
+    else:
+        out = np.empty(length, dtype=np.uint8)
     seed &= MASK64
-    for a in range(start - start % BLOCK, start + length, BLOCK):
-        lo, hi = max(a, start), min(a + BLOCK, start + length)
+    k_table = None
+    for a in range(first, end, BLOCK):
+        lo, hi = max(a, start), min(a + BLOCK, end)
         xk, tk = x[:hi - lo], t[:hi - lo]
         c = seed ^ ((a << _INDEX_ROT | a >> (64 - _INDEX_ROT)) & MASK64)
-        np.bitwise_xor(_LINEAR[lo - a:hi - a], np.uint64(c ^ c >> 30), out=xk)
-        xk *= _M1
-        np.right_shift(xk, _S27, out=tk)
-        xk ^= tk
+        k = c ^ c >> 30
+        if table is None:  # a window inside one block
+            np.bitwise_xor(_LINEAR[lo - a:hi - a], np.uint64(k), out=xk)
+            xk *= _M1
+            y = xk
+        else:
+            if k_table is None or (k ^ k_table) & _SUPPORT:
+                np.bitwise_xor(_LINEAR, np.uint64(k), out=table)
+                table *= _M1
+                k_table = k
+            y = table[lo - a:hi - a]
+            if k != k_table:  # same k_in, so k - k_table is the k_out difference
+                np.add(y, np.uint64((k - k_table) * _MULT1 & MASK64), out=xk)
+                y = xk
+        np.right_shift(y, _S27, out=tk)
+        np.bitwise_xor(y, tk, out=xk)
         xk *= _M2
-        np.greater_equal(xk, _TOP, out=signs[lo - start:hi - start])
+        if packed:
+            np.greater_equal(xk, _TOP, out=signs[:hi - lo])
+            block = np.packbits(signs[:hi - lo], bitorder="little")
+            pos = (lo - start) // 8
+            out.view(np.uint8)[pos:pos + block.size] = block
+        else:
+            np.greater_equal(xk, _TOP, out=out.view(np.bool_)[lo - start:hi - start])
     return out
 
 

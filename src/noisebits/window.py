@@ -9,13 +9,15 @@ out of ``L``, the mean product is ``(L - 2h) / L``.
 Superposition windows hold the signed integer sum per sample (int32).
 
 Materializing hashes the wave once per frame run (one run of sign bits
-per group of overlapping factor intervals), ``_FOLD_BLOCK`` samples per
-hash call, and packs each run into one word array: the frame costs an
-eighth of a byte per sample.  Each distinct factor offset's words are
-then derived once, as a word slice of its run or, off a word boundary,
-two shifted slices ORed together, and XORed into every product holding
-the offset.  Superposition members fold the same way and their unpacked
-bits add into the int32 sum.
+per group of overlapping factor intervals), in one :func:`sign_bits`
+call that packs each hash block into the run's word array while it is
+still in cache: the frame costs an eighth of a byte per sample.  A run
+starts at the word boundary at or below its first sample, so it hashes
+fewer than 64 samples more than its intervals cover.  Each distinct
+factor offset's words are then derived once, as a word slice of its run
+or, off a word boundary, two shifted slices ORed together, and XORed
+into every product holding the offset.  Superposition members fold the
+same way and their unpacked bits add into the int32 sum.
 
 Correlation is computed in exact integer arithmetic and divided once at
 the end, so diagonal correlations are exactly 1.0 and results are
@@ -80,9 +82,9 @@ class Window:
         return self.ints
 
 
-#: Samples per :func:`sign_bits` call of a frame run: a multiple of 64,
-#: so each call packs into whole words, and at one byte per sample as
-#: large as ``BLOCK`` is at eight, so the bits stay in cache until packed.
+#: Samples per step of a superposition's int32 sum: a multiple of 64, so
+#: each step unpacks whole words, and at one byte per sample as large as
+#: ``BLOCK`` is at eight, so the unpacked bits stay in cache until added.
 _FOLD_BLOCK = 8 * BLOCK
 
 
@@ -90,9 +92,10 @@ def _frame(seed: int, offsets: Iterable[int], start: int,
            length: int) -> dict[int, tuple[np.ndarray, int]]:
     """Packed sign bits of [start + o, start + o + length) for each distinct
     o: the words of o's run and o's bit position in them.  Overlapping or
-    touching intervals merge into runs (``P[0, 2**40]`` hashes two), each
-    hashed ``_FOLD_BLOCK`` samples per :func:`sign_bits` call into one word
-    array, with a spare zero word for the two-shift OR."""
+    touching intervals merge into runs (``P[0, 2**40]`` hashes two).  Each
+    run is one packed :func:`sign_bits` call from the word boundary at or
+    below its first sample, whose remainder, below 64, every bit position
+    adds; its words end in the spare zero word of the two-shift OR."""
     runs: list[list[int]] = []
     for o in sorted(set(offsets)):
         if runs and o <= runs[-1][-1] + length:
@@ -101,13 +104,10 @@ def _frame(seed: int, offsets: Iterable[int], start: int,
             runs.append([o])
     frame: dict[int, tuple[np.ndarray, int]] = {}
     for run in runs:
-        size = run[-1] - run[0] + length
-        words = np.zeros(size // 64 + 2, dtype=np.uint64)
-        for pos in range(0, size, _FOLD_BLOCK):
-            packed = np.packbits(sign_bits(seed, start + run[0] + pos,
-                                           min(_FOLD_BLOCK, size - pos)), bitorder="little")
-            words.view(np.uint8)[pos // 8:pos // 8 + packed.size] = packed
-        frame.update((o, (words, o - run[0])) for o in run)
+        rem = (start + run[0]) % 64
+        words = sign_bits(seed, start + run[0] - rem, rem + run[-1] - run[0] + length,
+                          packed=True)
+        frame.update((o, (words, rem + o - run[0])) for o in run)
     return frame
 
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from noisebits import apps
@@ -11,7 +12,7 @@ from noisebits.apps import (
     random_shift_demo,
 )
 from noisebits.expr import Product, multiply, shift
-from noisebits.hyperspace import encode_string, int_to_bits
+from noisebits.hyperspace import check_bits, encode_string, int_to_bits
 from noisebits.reference import build_reference_system
 
 
@@ -227,3 +228,25 @@ def test_random_shift_rejects_assignment_off_the_ladder(monkeypatch, shifts, mes
     monkeypatch.setattr(apps, "materialize_many", no_materialize)
     with pytest.raises(ValueError, match=message):
         random_shift_demo(build_reference_system(5, 2), ShiftAssignment(shifts), 1, 0, 1000)
+
+
+SYS2 = build_reference_system(5, 2)
+
+INTEGRAL_INPUTS = {
+    "check_bits": lambda v: check_bits((1, v)),
+    "Product": lambda v: Product((v,)),
+    "shift": lambda v: shift(Product((0,)), v),
+    "holographic_map": lambda v: holographic_map((0, 0), v),
+    "noncommute_demo-d": lambda v: noncommute_demo(SYS2, Product((0,)), 1, 0, v, 100),
+    "random_shift_demo-global_shift": lambda v: random_shift_demo(
+        SYS2, ShiftAssignment.draw(SYS2, 7), 1, 0, 100, global_shift=v),
+    "ShiftAssignment.draw-seed": lambda v: ShiftAssignment.draw(SYS2, v),
+}
+
+
+@pytest.mark.parametrize("call", INTEGRAL_INPUTS.values(), ids=INTEGRAL_INPUTS)
+def test_integer_inputs_take_numpy_integers_and_reject_floats(call):
+    """A float is refused, not truncated; a numpy integer is an integer."""
+    call(np.int64(1))
+    with pytest.raises(TypeError):
+        call(1.5)

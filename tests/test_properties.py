@@ -3,7 +3,8 @@
 The Walsh-Hadamard readout sweep must equal one ``correlate`` per
 candidate carrier, and frame-hashed windows must equal the per-sample
 ``sample`` oracle built on ``source_sample``: across aligned hash blocks,
-whose table must be mix64's first step, and across packed word folds,
+whose table must be mix64's first step, across the multiples of 2**30
+where the blocks' product table is rebuilt, and across packed word folds,
 whose padding bits must be zero.  The ladder frame's base and flip
 pattern must equal products and comparisons of ``source_sample``.  A
 carrier set read off its ladder frame must equal the sweep of its
@@ -92,20 +93,28 @@ def test_sweep_equals_per_candidate_correlate(seed, n_eff, start, length, data,
 @PROPERTY
 @given(seed=seeds, start=st.one_of(st.integers(0, 2**40),
                                    st.integers(1, 2**20).map(lambda k: k * 2**32 - 5000),
+                                   st.integers(0, 2**20).map(lambda k: (2 * k + 1) * 2**30 - 5000),
                                    st.tuples(st.integers(1, 2**40 // BLOCK), st.integers(1, 100))
                                    .map(lambda t: t[0] * BLOCK - t[1])),
        length=st.integers(1, 3 * BLOCK + 100), data=st.data())
 def test_blocked_sign_bits_match_scalar_oracle(seed, start, length, data):
     """Both sides of every absolute index that is a multiple of BLOCK, and
-    a wrap of the index's low 32 bits inside the run, must not change a
-    single bit."""
+    a wrap of the index's low 32 or 30 bits inside the run, must not change
+    a single bit; packed from the word boundary below, the same bits must
+    fill the words in sample order, with zero padding."""
     bits = sign_bits(seed, start, length)
     assert bits.shape == (length,) and bits.dtype == np.uint8
     edges = {j for b in range((-start) % BLOCK, length + 1, BLOCK) for j in (b - 1, b)}
-    edges |= {(-start) % 2**32 - 1, (-start) % 2**32}
+    edges |= {j for m in (2**30, 2**32) for j in ((-start) % m - 1, (-start) % m)}
     edges |= set(data.draw(st.lists(st.integers(0, length - 1), max_size=20)))
     for j in sorted(j for j in edges if 0 <= j < length):
         assert bits[j] == (source_sample(seed, start + j) + 1) // 2
+    word_start = start - start % 64
+    words = sign_bits(seed, word_start, length, packed=True)
+    expected = np.packbits(sign_bits(seed, word_start, length), bitorder="little")
+    assert words.dtype == np.uint64 and words.size == length // 64 + 2
+    assert np.array_equal(words.view(np.uint8)[:expected.size], expected)
+    assert not words.view(np.uint8)[expected.size:].any()
 
 
 def rotl32(n):
@@ -231,13 +240,14 @@ def test_noncommute_shape_folds_in_under_six_bits_a_sample():
 
 @pytest.fixture
 def hashed_runs(monkeypatch):
-    """(start, length) of every sign_bits call made by the window layer."""
+    """(start, length) of every sign_bits call made by the window layer:
+    one packed call per frame run, from a word boundary."""
     runs = []
     real = window_module.sign_bits
 
-    def recording(seed, start, length):
+    def recording(seed, start, length, *, packed=False):
         runs.append((start, length))
-        return real(seed, start, length)
+        return real(seed, start, length, packed=packed)
 
     monkeypatch.setattr(window_module, "sign_bits", recording)
     return runs
@@ -252,7 +262,7 @@ def test_sparse_product_hashes_only_its_factor_runs(hashed_runs):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert hashed_runs == [(3, length), (3 + 2**40, length)]
+    assert hashed_runs == [(0, 3 + length), (2**40, 3 + length)]
     assert peak < 64 * length
     for j in (0, 1, 2000, length - 1):
         assert int(w.values[j]) == sample(7, expr, 3 + j)
@@ -260,7 +270,7 @@ def test_sparse_product_hashes_only_its_factor_runs(hashed_runs):
 
 def test_overlapping_factors_share_one_hash_run(hashed_runs):
     materialize(7, Superposition((Product((0, 3)), Product((7, 1000)))), 5, 100)
-    assert hashed_runs == [(5, 107), (1005, 100)]
+    assert hashed_runs == [(0, 5 + 107), (960, 45 + 100)]
 
 
 def plain_butterflies(totals):

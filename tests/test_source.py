@@ -93,6 +93,8 @@ def test_index_guards():
         sign_bits(42, 0, 0)
     with pytest.raises(OverflowError):
         sign_bits(42, MAX_INDEX - 5, 10)
+    with pytest.raises(ValueError, match="multiple of 64"):
+        sign_bits(42, 65, 10, packed=True)
 
 
 def test_noise_source_wrapper():
