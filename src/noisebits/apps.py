@@ -142,6 +142,7 @@ class ShiftAssignment:
     shifts: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "shifts", {p: operator.index(r) for p, r in self.shifts.items()})
         for (i, b), r in self.shifts.items():
             if r < 0:
                 raise ValueError(f"shift for ({i},{b}) must be >= 0, got {r}")
@@ -159,8 +160,7 @@ class ShiftAssignment:
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"assignment seed must fit in 64 bits, got {seed}")
         keys = sys.pairs()
-        if r_max is None:
-            r_max = 2 * sys.n_eff
+        r_max = 2 * sys.n_eff if r_max is None else operator.index(r_max)
         if r_max < 1:
             raise ValueError(f"r_max must be >= 1, got {r_max}")
         rng = random.Random(seed)

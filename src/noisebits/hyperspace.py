@@ -40,8 +40,8 @@ import numpy as np
 
 from .expr import Product, Superposition, canonical_str, superpose
 from .reference import ReferenceSystem, _header, build_reference_system, carrier_offsets
-from .source import BLOCK, MAX_WINDOW, sign_bits
-from .window import Window, correlate, materialize
+from .source import BLOCK, sign_bits
+from .window import Window, _check_frame, correlate, materialize
 
 #: Classical bit strings are plain tuples of 0/1 ints.
 BitString = tuple[int, ...]
@@ -144,15 +144,6 @@ def detect_string(signal_window: Window, sys: ReferenceSystem,
                             signal_window.start, signal_window.length)
     rho = correlate(signal_window, candidate)
     return DetectionResult(rho=rho, threshold=threshold, present=rho > threshold)
-
-
-def _check_frame(length: int, d: int) -> None:
-    if d < 0:  # expr.shift's check, made before the length check
-        raise ValueError("negative shifts are not represented; shift the other operand")
-    if length < 1:
-        raise ValueError(f"window length must be at least 1, got {length}")
-    if length > MAX_WINDOW:
-        raise ValueError(f"window length must be at most {MAX_WINDOW}, got {length}")
 
 
 def _ladder_fold(x: np.ndarray, n: int, s: int, k: int) -> np.ndarray:

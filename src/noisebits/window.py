@@ -88,6 +88,15 @@ class Window:
 _FOLD_BLOCK = 8 * BLOCK
 
 
+def _check_frame(length: int, d: int = 0) -> None:
+    if d < 0:  # expr.shift's check, made before the length check
+        raise ValueError("negative shifts are not represented; shift the other operand")
+    if length < 1:
+        raise ValueError(f"window length must be at least 1, got {length}")
+    if length > MAX_WINDOW:
+        raise ValueError(f"window length must be at most {MAX_WINDOW}, got {length}")
+
+
 def _frame(seed: int, offsets: Iterable[int], start: int,
            length: int) -> dict[int, tuple[np.ndarray, int]]:
     """Packed sign bits of [start + o, start + o + length) for each distinct
@@ -132,10 +141,7 @@ def materialize_many(source: NoiseSource | int, exprs: Sequence[StreamExpr],
     superposition adds its members' unpacked folds, ``_FOLD_BLOCK``
     samples at a time.  Equal expressions share one Window."""
     src = as_source(source)
-    if length < 1:
-        raise ValueError(f"window length must be at least 1, got {length}")
-    if length > MAX_WINDOW:
-        raise ValueError(f"window length must be at most {MAX_WINDOW}, got {length}")
+    _check_frame(length)
     if start < 0:
         raise ValueError(f"window start must be non-negative, got {start}")
     for expr in exprs:

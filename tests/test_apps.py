@@ -241,6 +241,8 @@ INTEGRAL_INPUTS = {
     "random_shift_demo-global_shift": lambda v: random_shift_demo(
         SYS2, ShiftAssignment.draw(SYS2, 7), 1, 0, 100, global_shift=v),
     "ShiftAssignment.draw-seed": lambda v: ShiftAssignment.draw(SYS2, v),
+    "ShiftAssignment.draw-r_max": lambda v: ShiftAssignment.draw(SYS2, 7, r_max=v),
+    "ShiftAssignment-shifts": lambda v: ShiftAssignment(dict.fromkeys(SYS2.pairs(), v)),
 }
 
 

@@ -1,8 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from noisebits.expr import Product
 from noisebits.source import (
     MASK64,
     MAX_INDEX,
@@ -13,6 +15,7 @@ from noisebits.source import (
     sign_bits,
     source_sample,
 )
+from noisebits.window import materialize_many
 
 # Frozen outputs of the pinned mixing constants.  If any of these move,
 # every dumped window in existence silently changes meaning.
@@ -115,3 +118,35 @@ def test_noise_source_rejects_non_integral_seed(seed):
 def test_noise_source_accepts_numpy_integers():
     src = NoiseSource(np.uint64(42))
     assert type(src.seed) is int and src == NoiseSource(42)
+
+
+def test_seed_and_start_alias_when_their_bits_are_disjoint():
+    """wave(s, a + j) = wave(s ^ rotl64(a, 32), j) when a & j = 0: seed 5 at
+    2**40 is seed 5 ^ 2**8 = 261 at 0 (README, "Wave generation")."""
+    assert np.array_equal(sample_block(5, 2**40, 4096), sample_block(261, 0, 4096))
+
+
+# Hash audit: the -1 count of each 4096-sample chunk of a product stream
+# against the exact Binomial(4096, 1/2) law, in 10 bins cut near its deciles.
+AUDIT_SEED, AUDIT_CHUNKS, CHUNK = 12345, 1 << 14, 4096
+AUDIT_PRODUCTS = [(0, 1), (0, 2), (0, 3), (0, 7), (0, 64), (0, 1, 2), (0, 5, 64)]
+CHI2_9_AT_1E4 = 33.72  # the 1e-4 upper point of chi-squared with 9 degrees of freedom
+
+
+def test_product_chunk_counts_follow_the_binomial_law():
+    """One frame for all products.  The law comes from math.comb within 8 sigma
+    (256) of 2048; the counts past that, 1e-15 of the mass, get probability 0."""
+    pmf = np.zeros(CHUNK + 1)
+    for k in range(CHUNK // 2 - 256, CHUNK // 2 + 257):
+        pmf[k] = math.comb(CHUNK, k) / 2**CHUNK
+    cuts = np.searchsorted(np.cumsum(pmf), np.arange(1, 10) / 10) + 1
+    starts = np.concatenate(([0], cuts))
+    expected = AUDIT_CHUNKS * np.add.reduceat(pmf, starts)
+    windows = materialize_many(AUDIT_SEED, [Product(o) for o in AUDIT_PRODUCTS], 0,
+                               AUDIT_CHUNKS * CHUNK)
+    chi2 = {}
+    for offsets, w in zip(AUDIT_PRODUCTS, windows):
+        ones = np.bitwise_count(w.words).reshape(AUDIT_CHUNKS, -1).sum(axis=1, dtype=np.int64)
+        observed = np.add.reduceat(np.bincount(CHUNK - ones, minlength=CHUNK + 1), starts)
+        chi2[offsets] = round(float(((observed - expected) ** 2 / expected).sum()), 2)
+    assert max(chi2.values()) < CHI2_9_AT_1E4, chi2
